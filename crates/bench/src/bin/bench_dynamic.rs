@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use unn::dynamic::{CompactionPolicy, DynamicPnnConfig, DynamicPnnIndex, FilterPrecision, PointId};
+use unn::dynamic::{CompactionPolicy, DynamicPnnConfig, DynamicPnnIndex, PointId};
 use unn::geom::Point;
 use unn::{PnnConfig, PnnIndex, Uncertain};
 use unn_bench::util::random_queries;
@@ -68,7 +68,6 @@ fn median_ns_per_query(queries: &[Point], mut f: impl FnMut(Point)) -> f64 {
 struct ChurnResult {
     rate: f64,
     dynamic_updates_per_sec: f64,
-    dynamic_updates_per_sec_f32: f64,
     rebuild_updates_per_sec: f64,
     speedup: f64,
 }
@@ -90,10 +89,8 @@ struct SizeResult {
     churn: Vec<ChurnResult>,
     policies: Vec<PolicyResult>,
     q_nonzero_dynamic: f64,
-    q_nonzero_dynamic_f32: f64,
     q_nonzero_static: f64,
     q_quantify_dynamic: f64,
-    q_quantify_dynamic_f32: f64,
     q_quantify_static: f64,
     blocks: usize,
     merges: u64,
@@ -192,29 +189,22 @@ fn run_policies(n: usize, side: f64, queries: &[Point]) -> Vec<PolicyResult> {
     out
 }
 
-/// Pre-draws a churn op stream (slot to replace + replacement disk). Slot
-/// choices depend only on the constant live-set length, so the same stream
-/// replays verbatim into the f32-filtered twin index and both end up with
-/// identical live sets and block layouts.
-fn draw_ops(pairs: usize, n: usize, side: f64, rng: &mut SmallRng) -> Vec<(usize, Uncertain)> {
-    (0..pairs)
-        .map(|_| (rng.random_range(0..n), random_disk(rng, side)))
-        .collect()
-}
-
-/// Sustained dynamic throughput: applies the pre-drawn remove+insert
-/// stream (counted as `2·pairs` updates) and returns updates/sec.
+/// Sustained dynamic throughput: `pairs` remove+insert pairs against a
+/// live index, counted as `2·pairs` updates.
 fn dynamic_updates_per_sec(
     index: &mut DynamicPnnIndex,
     live: &mut [PointId],
-    ops: &[(usize, Uncertain)],
+    pairs: usize,
+    side: f64,
+    rng: &mut SmallRng,
 ) -> f64 {
     let start = Instant::now();
-    for (slot, disk) in ops {
-        assert!(index.remove(live[*slot]), "mirror out of sync");
-        live[*slot] = index.insert(disk.clone());
+    for _ in 0..pairs {
+        let slot = rng.random_range(0..live.len());
+        assert!(index.remove(live[slot]), "mirror out of sync");
+        live[slot] = index.insert(random_disk(rng, side));
     }
-    (2 * ops.len()) as f64 / start.elapsed().as_secs_f64()
+    (2 * pairs) as f64 / start.elapsed().as_secs_f64()
 }
 
 /// Baseline: every update forces a from-scratch static build (point-set
@@ -234,18 +224,9 @@ fn run_size(n: usize) -> SizeResult {
     let mut rng = SmallRng::seed_from_u64(90 + n as u64);
     let mut index =
         DynamicPnnIndex::with_config(dynamic_config()).unwrap_or_else(|e| panic!("config: {e}"));
-    // The f32-filtered twin replays the identical op stream, so its block
-    // layout, ids, and per-block Monte-Carlo draws match the f64 index —
-    // any answer divergence below is a kernel bug, not bench noise.
-    let mut index32 = DynamicPnnIndex::with_config(DynamicPnnConfig {
-        filter: FilterPrecision::F32Refined,
-        ..dynamic_config()
-    })
-    .unwrap_or_else(|e| panic!("config: {e}"));
-    let initial: Vec<Uncertain> = (0..n).map(|_| random_disk(&mut rng, side)).collect();
-    let mut live: Vec<PointId> = initial.iter().map(|p| index.insert(p.clone())).collect();
-    let mut live32: Vec<PointId> = initial.into_iter().map(|p| index32.insert(p)).collect();
-    assert_eq!(live, live32, "twin id allocation diverged");
+    let mut live: Vec<PointId> = (0..n)
+        .map(|_| index.insert(random_disk(&mut rng, side)))
+        .collect();
 
     // Mixed churn at two rates; throughput is sustained (merges and
     // compactions triggered inside the timed window are paid for).
@@ -253,9 +234,7 @@ fn run_size(n: usize) -> SizeResult {
         .iter()
         .map(|&rate| {
             let pairs = ((n as f64 * rate) as usize).max(16);
-            let ops = draw_ops(pairs, n, side, &mut rng);
-            let dynamic = dynamic_updates_per_sec(&mut index, &mut live, &ops);
-            let dynamic_f32 = dynamic_updates_per_sec(&mut index32, &mut live32, &ops);
+            let dynamic = dynamic_updates_per_sec(&mut index, &mut live, pairs, side, &mut rng);
             let rebuilds = if n >= 4096 { 3 } else { 5 };
             let snapshot_points: Vec<Uncertain> = index
                 .snapshot()
@@ -267,7 +246,6 @@ fn run_size(n: usize) -> SizeResult {
             ChurnResult {
                 rate,
                 dynamic_updates_per_sec: dynamic,
-                dynamic_updates_per_sec_f32: dynamic_f32,
                 rebuild_updates_per_sec: rebuild,
                 speedup: dynamic / rebuild,
             }
@@ -277,41 +255,17 @@ fn run_size(n: usize) -> SizeResult {
     // Query latency on the churned state, dynamic vs static on the same
     // live set with the same round count.
     let snap = index.snapshot();
-    let snap32 = index32.snapshot();
     let static_points: Vec<Uncertain> = snap.live_points().into_iter().map(|(_, p)| p).collect();
     let static_index = PnnIndex::build(static_points, base_config());
     let queries = random_queries(128, side, 91 + n as u64);
-
-    // Bit-identity gate: the f32-filtered twin must answer every read path
-    // exactly like the f64 index before its latency numbers count.
-    for &q in &queries {
-        assert_eq!(
-            snap.nn_nonzero(q),
-            snap32.nn_nonzero(q),
-            "f32 nn_nonzero diverged at n={n}, q={q:?}"
-        );
-        let (pi64, m64) = snap.quantify(q);
-        let (pi32, m32) = snap32.quantify(q);
-        assert_eq!(m64, m32, "f32 quantify method diverged at n={n}, q={q:?}");
-        let b64: Vec<u64> = pi64.iter().map(|v| v.to_bits()).collect();
-        let b32: Vec<u64> = pi32.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(b64, b32, "f32 quantify bits diverged at n={n}, q={q:?}");
-    }
-
     let q_nonzero_dynamic = median_ns_per_query(&queries, |q| {
         std::hint::black_box(snap.nn_nonzero(q).len());
-    });
-    let q_nonzero_dynamic_f32 = median_ns_per_query(&queries, |q| {
-        std::hint::black_box(snap32.nn_nonzero(q).len());
     });
     let q_nonzero_static = median_ns_per_query(&queries, |q| {
         std::hint::black_box(static_index.nn_nonzero(q).len());
     });
     let q_quantify_dynamic = median_ns_per_query(&queries, |q| {
         std::hint::black_box(snap.quantify(q).0.len());
-    });
-    let q_quantify_dynamic_f32 = median_ns_per_query(&queries, |q| {
-        std::hint::black_box(snap32.quantify(q).0.len());
     });
     let q_quantify_static = median_ns_per_query(&queries, |q| {
         std::hint::black_box(static_index.quantify(q).0.len());
@@ -325,10 +279,8 @@ fn run_size(n: usize) -> SizeResult {
         churn,
         policies,
         q_nonzero_dynamic,
-        q_nonzero_dynamic_f32,
         q_nonzero_static,
         q_quantify_dynamic,
-        q_quantify_dynamic_f32,
         q_quantify_static,
         blocks: stats.blocks,
         merges: stats.merges,
@@ -356,35 +308,25 @@ fn main() {
         let mut churn_json = String::new();
         for (j, c) in r.churn.iter().enumerate() {
             println!(
-                "  churn {:>4.0}%: dynamic {:>10.0} upd/s (f32 {:>10.0})  rebuild {:>8.2} upd/s  \
-                 speedup {:>8.1}x",
+                "  churn {:>4.0}%: dynamic {:>10.0} upd/s  rebuild {:>8.2} upd/s  speedup {:>8.1}x",
                 100.0 * c.rate,
                 c.dynamic_updates_per_sec,
-                c.dynamic_updates_per_sec_f32,
                 c.rebuild_updates_per_sec,
                 c.speedup
             );
             churn_json.push_str(&format!(
                 "      {{ \"rate\": {:.2}, \"dynamic_updates_per_sec\": {:.1}, \
-                 \"dynamic_updates_per_sec_f32\": {:.1}, \
                  \"rebuild_updates_per_sec\": {:.3}, \"speedup\": {:.1} }}{}\n",
                 c.rate,
                 c.dynamic_updates_per_sec,
-                c.dynamic_updates_per_sec_f32,
                 c.rebuild_updates_per_sec,
                 c.speedup,
                 if j + 1 == r.churn.len() { "" } else { "," }
             ));
         }
         println!(
-            "  query: nn_nonzero {:.0}ns (f32 {:.0}ns, static {:.0}ns)  \
-             quantify {:.0}ns (f32 {:.0}ns, static {:.0}ns)",
-            r.q_nonzero_dynamic,
-            r.q_nonzero_dynamic_f32,
-            r.q_nonzero_static,
-            r.q_quantify_dynamic,
-            r.q_quantify_dynamic_f32,
-            r.q_quantify_static
+            "  query: nn_nonzero {:.0}ns (static {:.0}ns)  quantify {:.0}ns (static {:.0}ns)",
+            r.q_nonzero_dynamic, r.q_nonzero_static, r.q_quantify_dynamic, r.q_quantify_static
         );
         let mut policy_json = String::new();
         for (j, p) in r.policies.iter().enumerate() {
@@ -417,10 +359,8 @@ fn main() {
             "    {{ \"n\": {}, \"blocks\": {}, \"merges\": {}, \"compactions\": {},\n      \
              \"churn\": [\n{}      ],\n      \
              \"policies\": [\n{}      ],\n      \
-             \"query_nn_nonzero_dynamic\": {:.1}, \"query_nn_nonzero_dynamic_f32\": {:.1}, \
-             \"query_nn_nonzero_static\": {:.1},\n      \
-             \"query_quantify_dynamic\": {:.1}, \"query_quantify_dynamic_f32\": {:.1}, \
-             \"query_quantify_static\": {:.1} }}{}\n",
+             \"query_nn_nonzero_dynamic\": {:.1}, \"query_nn_nonzero_static\": {:.1},\n      \
+             \"query_quantify_dynamic\": {:.1}, \"query_quantify_static\": {:.1} }}{}\n",
             r.n,
             r.blocks,
             r.merges,
@@ -428,10 +368,8 @@ fn main() {
             churn_json,
             policy_json,
             r.q_nonzero_dynamic,
-            r.q_nonzero_dynamic_f32,
             r.q_nonzero_static,
             r.q_quantify_dynamic,
-            r.q_quantify_dynamic_f32,
             r.q_quantify_static,
             if i + 1 == results.len() { "" } else { "," }
         ));

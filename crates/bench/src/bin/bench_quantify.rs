@@ -17,13 +17,13 @@
 //! * `adaptive`        — early-stopped estimate at (ε = 0.05, δ = 0.01),
 //!   with the mean fraction of the `s` budget it consumed.
 //!
-//! Two layout sweeps at `n = 4096` feed the `KdConfig` constants
-//! (EXPERIMENTS.md T20):
+//! Two layout sweeps record the cost surface behind the `KdConfig`
+//! constants (EXPERIMENTS.md T20); no default follows their argmin, which
+//! moves between runs:
 //!
-//! * `leaf_sweep` — global-ball fold latency by leaf size (picks
-//!   `KdConfig::scan_heavy().leaf_size`);
+//! * `leaf_sweep` — global-ball fold latency by leaf size at `n = 4096`;
 //! * `bf_crossover` — flat batched scan vs default tree descent on small
-//!   inputs (picks `brute_force_below`).
+//!   inputs.
 //!
 //! The run **fails** (nonzero exit) if the batched fast path regresses
 //! against the scalar oracle at `n = 4096` — the in-bench kernel gate.
@@ -35,7 +35,7 @@ use rand::{RngExt, SeedableRng};
 use unn::distr::UncertainPoint;
 use unn::geom::Point;
 use unn::quantify::{McBackend, MonteCarloIndex};
-use unn::spatial::{FilterPrecision, KdConfig, KdTree};
+use unn::spatial::{KdConfig, KdTree};
 use unn_bench::util::{as_uncertain, random_discrete, random_queries};
 
 const S: usize = 512;
@@ -59,7 +59,6 @@ fn median_ns_per_query(queries: &[Point], mut f: impl FnMut(Point)) -> f64 {
 struct SizeResult {
     n: usize,
     arena_pruned: f64,
-    arena_f32: f64,
     arena_scalar: f64,
     arena_unpruned: f64,
     perround_trees: f64,
@@ -74,16 +73,6 @@ fn run_size(n: usize) -> SizeResult {
     let queries = random_queries(128, side, 71 + n as u64);
     let mut rng = SmallRng::seed_from_u64(72);
     let mc = MonteCarloIndex::build(&points, S, McBackend::KdTree, &mut rng);
-    // The f32-filtered twin: same seed, same draws, same structures — the
-    // only difference is the fill-phase precision tier.
-    let mut rng = SmallRng::seed_from_u64(72);
-    let mc32 = MonteCarloIndex::build_with_filter(
-        &points,
-        S,
-        McBackend::KdTree,
-        &mut rng,
-        FilterPrecision::F32Refined,
-    );
     let mut rng = SmallRng::seed_from_u64(72);
     let per_round: Vec<KdTree> = (0..S)
         .map(|_| {
@@ -97,31 +86,18 @@ fn run_size(n: usize) -> SizeResult {
         mc.query_into(q, &mut buf);
         std::hint::black_box(buf.len());
     });
-    let arena_f32 = median_ns_per_query(&queries, |q| {
-        mc32.query_into(q, &mut buf);
-        std::hint::black_box(buf.len());
-    });
-    // Differential checks ride along with the timing: the scalar oracle
-    // AND the f32-filtered twin must reproduce the batched f64 path bit
-    // for bit on every bench query.
-    let (mut scalar_buf, mut f32_buf) = (Vec::new(), Vec::new());
+    // Differential check rides along with the timing: the scalar oracle
+    // must reproduce the batched path bit for bit on every bench query.
+    let mut scalar_buf = Vec::new();
     for &q in &queries {
         mc.query_into(q, &mut buf);
         mc.query_into_scalar(q, &mut scalar_buf);
-        mc32.query_into(q, &mut f32_buf);
         assert!(
             buf.iter()
                 .zip(&scalar_buf)
                 .all(|(a, b)| a.to_bits() == b.to_bits())
                 && buf.len() == scalar_buf.len(),
             "scalar oracle diverged from batched path at n={n}, q={q:?}"
-        );
-        assert!(
-            buf.iter()
-                .zip(&f32_buf)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-                && buf.len() == f32_buf.len(),
-            "f32-filtered path diverged from exact f64 at n={n}, q={q:?}"
         );
     }
     let arena_scalar = median_ns_per_query(&queries, |q| {
@@ -154,7 +130,6 @@ fn run_size(n: usize) -> SizeResult {
     SizeResult {
         n,
         arena_pruned,
-        arena_f32,
         arena_scalar,
         arena_unpruned,
         perround_trees,
@@ -165,9 +140,8 @@ fn run_size(n: usize) -> SizeResult {
 
 /// Global-ball fold latency by leaf size at `n = 4096`: rebuilds the
 /// `s·n`-sample global tree under each candidate `leaf_size` and times the
-/// Δ(q)-seeded capped ball fold (the winners_into hot loop). The argmin
-/// informs `KdConfig::scan_heavy`.
-fn run_leaf_sweep() -> (Vec<(usize, f64)>, usize) {
+/// Δ(q)-seeded capped ball fold (the winners_into hot loop).
+fn run_leaf_sweep() -> Vec<(usize, f64)> {
     let n = 4096usize;
     let side = (n as f64).sqrt() * 8.0;
     let objs = random_discrete(n, 3, side, 3.0, 2.0, 70 + n as u64);
@@ -193,7 +167,6 @@ fn run_leaf_sweep() -> (Vec<(usize, f64)>, usize) {
             KdConfig {
                 leaf_size: leaf,
                 brute_force_below: leaf,
-                ..KdConfig::default()
             },
         );
         let mut best: Vec<(f64, u32)> = Vec::new();
@@ -217,19 +190,13 @@ fn run_leaf_sweep() -> (Vec<(usize, f64)>, usize) {
         });
         sweep.push((leaf, ns));
     }
-    let chosen = sweep
-        .iter()
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-        .map_or(32, |&(l, _)| l);
-    (sweep, chosen)
+    sweep
 }
 
-/// Brute-force crossover: largest input size where a single flat batched
-/// leaf answers `nearest` at least as fast as the default tree descent.
-/// Informs `KdConfig::brute_force_below`.
-fn run_bf_crossover() -> (Vec<(usize, f64, f64)>, usize) {
+/// Brute-force crossover: `nearest` latency of the default tree descent vs
+/// a single flat batched leaf, by input size.
+fn run_bf_crossover() -> Vec<(usize, f64, f64)> {
     let mut rows = Vec::new();
-    let mut crossover = 0usize;
     for n in [8usize, 16, 32, 64, 128, 256] {
         let side = 200.0;
         let mut rng = SmallRng::seed_from_u64(700 + n as u64);
@@ -243,7 +210,6 @@ fn run_bf_crossover() -> (Vec<(usize, f64, f64)>, usize) {
             KdConfig {
                 leaf_size: n,
                 brute_force_below: n,
-                ..KdConfig::default()
             },
         );
         let tree_ns = median_ns_per_query(&queries, |q| {
@@ -252,56 +218,9 @@ fn run_bf_crossover() -> (Vec<(usize, f64, f64)>, usize) {
         let flat_ns = median_ns_per_query(&queries, |q| {
             std::hint::black_box(flat.nearest(q).map(|nb| nb.id));
         });
-        if flat_ns <= tree_ns {
-            crossover = n;
-        }
         rows.push((n, tree_ns, flat_ns));
     }
-    (rows, crossover)
-}
-
-/// Fill-phase microbench at `n = 4096`: one flat leaf (every query scans
-/// all slots in a single batch) probed with a small `in_disk` radius, so
-/// the run time is dominated by the distance-fill phase rather than the
-/// consumer. Returns `(f64_ns, f32_ns)` per query; the f32 tier must be
-/// at least 1.2× faster (the acceptance bar checked in `main`). The visit
-/// streams of both tiers are asserted bit-identical before timing.
-fn run_fill_phase() -> (f64, f64) {
-    let n = 4096usize;
-    let side = 200.0;
-    let mut rng = SmallRng::seed_from_u64(7300);
-    let pts: Vec<Point> = (0..n)
-        .map(|_| Point::new(rng.random_range(0.0..side), rng.random_range(0.0..side)))
-        .collect();
-    let queries = random_queries(128, side, 7301);
-    let flat = KdConfig {
-        leaf_size: n,
-        brute_force_below: n,
-        ..KdConfig::default()
-    };
-    let t64 = KdTree::with_config(&pts, flat);
-    let t32 = KdTree::with_config(&pts, flat.with_filter(FilterPrecision::F32Refined));
-    // ~1–2 expected points per ball at this density: nearly every slot is
-    // a fill-and-reject, the case the f32 tier accelerates.
-    let r = 2.0;
-    let (mut s64, mut s32) = (Vec::new(), Vec::new());
-    for &q in &queries {
-        s64.clear();
-        s32.clear();
-        t64.in_disk(q, r, &mut |i, d| s64.push((i, d.to_bits())));
-        t32.in_disk(q, r, &mut |i, d| s32.push((i, d.to_bits())));
-        assert_eq!(s64, s32, "f32 fill-phase visit stream diverged at {q:?}");
-    }
-    let mut acc = 0u64;
-    let f64_ns = median_ns_per_query(&queries, |q| {
-        t64.in_disk(q, r, &mut |i, _| acc ^= i as u64);
-        std::hint::black_box(acc);
-    });
-    let f32_ns = median_ns_per_query(&queries, |q| {
-        t32.in_disk(q, r, &mut |i, _| acc ^= i as u64);
-        std::hint::black_box(acc);
-    });
-    (f64_ns, f32_ns)
+    rows
 }
 
 /// Adaptive stopping on a well-separated instance (one object wins every
@@ -339,31 +258,27 @@ fn main() {
     let results: Vec<SizeResult> = [64usize, 512, 4096].iter().map(|&n| run_size(n)).collect();
     for (i, r) in results.iter().enumerate() {
         println!(
-            "n={:5}  arena_pruned={:.0}ns  arena_f32={:.0}ns  arena_scalar={:.0}ns  \
-             arena_unpruned={:.0}ns  perround_trees={:.0}ns  adaptive={:.0}ns \
-             (rounds {:.1}% of s)  speedup(perround/pruned)={:.2}x  \
-             kernel(scalar/pruned)={:.2}x  f32(pruned/f32)={:.2}x",
+            "n={:5}  arena_pruned={:.0}ns  arena_scalar={:.0}ns  arena_unpruned={:.0}ns  \
+             perround_trees={:.0}ns  adaptive={:.0}ns (rounds {:.1}% of s)  \
+             speedup(perround/pruned)={:.2}x  kernel(scalar/pruned)={:.2}x",
             r.n,
             r.arena_pruned,
-            r.arena_f32,
             r.arena_scalar,
             r.arena_unpruned,
             r.perround_trees,
             r.adaptive,
             100.0 * r.adaptive_rounds_frac,
             r.perround_trees / r.arena_pruned,
-            r.arena_scalar / r.arena_pruned,
-            r.arena_pruned / r.arena_f32
+            r.arena_scalar / r.arena_pruned
         );
         out.push_str(&format!(
-            "    {{ \"n\": {}, \"arena_pruned\": {:.1}, \"arena_f32\": {:.1}, \
-             \"arena_scalar\": {:.1}, \"arena_unpruned\": {:.1}, \
+            "    {{ \"n\": {}, \"arena_pruned\": {:.1}, \"arena_scalar\": {:.1}, \
+             \"arena_unpruned\": {:.1}, \
              \"perround_trees\": {:.1}, \"adaptive\": {:.1}, \
              \"adaptive_rounds_frac\": {:.4}, \"speedup_perround_over_pruned\": {:.3}, \
-             \"speedup_scalar_over_pruned\": {:.3}, \"speedup_f64_over_f32\": {:.3} }}{}\n",
+             \"speedup_scalar_over_pruned\": {:.3} }}{}\n",
             r.n,
             r.arena_pruned,
-            r.arena_f32,
             r.arena_scalar,
             r.arena_unpruned,
             r.perround_trees,
@@ -371,18 +286,17 @@ fn main() {
             r.adaptive_rounds_frac,
             r.perround_trees / r.arena_pruned,
             r.arena_scalar / r.arena_pruned,
-            r.arena_pruned / r.arena_f32,
             if i + 1 == results.len() { "" } else { "," }
         ));
     }
     out.push_str("  ],\n");
 
-    let (sweep, chosen_leaf) = run_leaf_sweep();
+    let sweep = run_leaf_sweep();
     print!("leaf sweep (n=4096 global-ball fold): ");
     for &(l, ns) in &sweep {
         print!("leaf={l}:{ns:.0}ns  ");
     }
-    println!("-> chosen {chosen_leaf}");
+    println!();
     out.push_str("  \"leaf_sweep\": [\n");
     for (i, &(l, ns)) in sweep.iter().enumerate() {
         out.push_str(&format!(
@@ -391,14 +305,13 @@ fn main() {
         ));
     }
     out.push_str("  ],\n");
-    out.push_str(&format!("  \"chosen_leaf_size\": {chosen_leaf},\n"));
 
-    let (bf_rows, bf_crossover) = run_bf_crossover();
+    let bf_rows = run_bf_crossover();
     print!("brute-force crossover: ");
     for &(n, t, f) in &bf_rows {
         print!("n={n}:tree {t:.0}ns/flat {f:.0}ns  ");
     }
-    println!("-> crossover {bf_crossover}");
+    println!();
     out.push_str("  \"bf_crossover\": [\n");
     for (i, &(n, t, f)) in bf_rows.iter().enumerate() {
         out.push_str(&format!(
@@ -407,9 +320,6 @@ fn main() {
         ));
     }
     out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"chosen_brute_force_below\": {bf_crossover},\n"
-    ));
 
     let (sep_s, sep_frac, sep_hw) = run_separated();
     println!(
@@ -419,18 +329,7 @@ fn main() {
     );
     out.push_str(&format!(
         "  \"adaptive_separated\": {{ \"s\": {sep_s}, \"eps\": 0.05, \"delta\": 0.01, \
-         \"rounds_frac\": {sep_frac:.4}, \"mean_half_width\": {sep_hw:.4} }},\n"
-    ));
-
-    let (fill64, fill32) = run_fill_phase();
-    let fill_speedup = fill64 / fill32;
-    println!(
-        "fill phase (n=4096, flat leaf): f64 {fill64:.0}ns  f32 {fill32:.0}ns  \
-         ({fill_speedup:.2}x)"
-    );
-    out.push_str(&format!(
-        "  \"fill_phase\": {{ \"n\": 4096, \"f64_ns\": {fill64:.1}, \"f32_ns\": {fill32:.1}, \
-         \"speedup\": {fill_speedup:.3} }}\n}}\n"
+         \"rounds_frac\": {sep_frac:.4}, \"mean_half_width\": {sep_hw:.4} }}\n}}\n"
     ));
     std::fs::write("BENCH_quantify.json", &out).expect("write BENCH_quantify.json");
     println!("wrote BENCH_quantify.json");
@@ -449,13 +348,5 @@ fn main() {
         head.n,
         head.arena_pruned,
         head.arena_scalar
-    );
-    // f32 filter acceptance bar: the half-width fill must buy at least
-    // 1.2x on the fill-dominated microbench, or the tier is not paying
-    // for its refinement pass.
-    assert!(
-        fill_speedup >= 1.2,
-        "f32 fill-phase tier below the 1.2x acceptance bar at n=4096: \
-         f64 {fill64:.0}ns vs f32 {fill32:.0}ns ({fill_speedup:.2}x)"
     );
 }

@@ -51,7 +51,7 @@ use crate::batch::BatchOptions;
 use crate::index::{PnnConfig, QuantifyMethod};
 use crate::resilience::{QuantifyOutcome, QueryBudget, UnnError, ValidationPolicy};
 
-pub use unn_dynamic::{CompactionPolicy, DynamicStats, FilterPrecision, PointId};
+pub use unn_dynamic::{CompactionPolicy, DynamicStats, PointId};
 
 /// Configuration for [`DynamicPnnIndex`]: the static query parameters plus
 /// the dynamic lifecycle knobs.
@@ -80,12 +80,6 @@ pub struct DynamicPnnConfig {
     /// single-block read path without paying it on every insert). Must be
     /// finite and positive. `None` (the default) disables promotion.
     pub hot_promote_ratio: Option<f64>,
-    /// Distance-fill precision tier of every block's scan structures
-    /// ([`FilterPrecision`]): `F32Refined` runs the batched fill phase over
-    /// f32 shadow arenas with exact f64 refinement of near-threshold
-    /// candidates — bit-identical answers, only faster. `F64` (the default)
-    /// is the historical exact kernel.
-    pub filter: FilterPrecision,
 }
 
 impl Default for DynamicPnnConfig {
@@ -96,7 +90,6 @@ impl Default for DynamicPnnConfig {
             max_dead_fraction: 0.25,
             policy: CompactionPolicy::Logarithmic,
             hot_promote_ratio: None,
-            filter: FilterPrecision::F64,
         }
     }
 }
@@ -142,7 +135,6 @@ impl DynamicPnnConfig {
             max_dead_fraction: self.max_dead_fraction,
             policy: self.policy,
             hot_promote_ratio: self.hot_promote_ratio,
-            filter: self.filter,
         }
     }
 }

@@ -48,7 +48,6 @@ pub fn serve_config(cfg: &DynamicPnnConfig) -> ServeConfig {
         max_dead_fraction: cfg.max_dead_fraction,
         policy: cfg.policy,
         hot_promote_ratio: cfg.hot_promote_ratio,
-        filter: cfg.filter,
         epsilon: cfg.base.epsilon,
         delta: cfg.base.delta,
         numeric_steps: cfg.base.numeric_steps,

@@ -53,11 +53,6 @@ impl std::error::Error for DiscreteError {}
 /// Weights are normalized to sum to 1 on construction. Location order is
 /// preserved (the paper's `p_{ij}` indexing).
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(
-    feature = "serde",
-    derive(serde::Serialize, serde::Deserialize),
-    serde(try_from = "DiscreteRaw", into = "DiscreteRaw")
-)]
 pub struct DiscreteDistribution {
     points: Vec<Point>,
     weights: Vec<f64>,
@@ -264,33 +259,6 @@ impl UncertainPoint for DiscreteDistribution {
 
     fn support_bbox(&self) -> Aabb {
         self.bbox
-    }
-}
-
-/// Serialization mirror: only the defining data; derived fields (cdf,
-/// hull, moments) are rebuilt on deserialization so invariants hold.
-#[cfg(feature = "serde")]
-#[derive(serde::Serialize, serde::Deserialize)]
-struct DiscreteRaw {
-    points: Vec<Point>,
-    weights: Vec<f64>,
-}
-
-#[cfg(feature = "serde")]
-impl From<DiscreteDistribution> for DiscreteRaw {
-    fn from(d: DiscreteDistribution) -> Self {
-        DiscreteRaw {
-            points: d.points,
-            weights: d.weights,
-        }
-    }
-}
-
-#[cfg(feature = "serde")]
-impl TryFrom<DiscreteRaw> for DiscreteDistribution {
-    type Error = DiscreteError;
-    fn try_from(raw: DiscreteRaw) -> Result<Self, DiscreteError> {
-        DiscreteDistribution::new(raw.points, raw.weights)
     }
 }
 

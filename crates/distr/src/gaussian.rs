@@ -22,7 +22,6 @@ use crate::traits::UncertainPoint;
 
 /// An uncertain point with truncated isotropic Gaussian distribution.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TruncatedGaussian {
     center: Point,
     sigma: f64,

@@ -14,11 +14,6 @@ use crate::traits::UncertainPoint;
 
 /// A histogram-shaped uncertain point on a regular grid.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(
-    feature = "serde",
-    derive(serde::Serialize, serde::Deserialize),
-    serde(from = "HistogramRaw", into = "HistogramRaw")
-)]
 pub struct HistogramDistribution {
     bbox: Aabb,
     nx: usize,
@@ -137,35 +132,6 @@ impl HistogramDistribution {
             self.bbox.min.y + iy as f64 * ch,
         );
         Aabb::new(min, Point::new(min.x + cw, min.y + ch))
-    }
-}
-
-/// Serialization mirror rebuilding derived fields through the constructor.
-#[cfg(feature = "serde")]
-#[derive(serde::Serialize, serde::Deserialize)]
-struct HistogramRaw {
-    bbox: Aabb,
-    nx: usize,
-    ny: usize,
-    mass: Vec<f64>,
-}
-
-#[cfg(feature = "serde")]
-impl From<HistogramDistribution> for HistogramRaw {
-    fn from(h: HistogramDistribution) -> Self {
-        HistogramRaw {
-            bbox: h.bbox,
-            nx: h.nx,
-            ny: h.ny,
-            mass: h.mass,
-        }
-    }
-}
-
-#[cfg(feature = "serde")]
-impl From<HistogramRaw> for HistogramDistribution {
-    fn from(raw: HistogramRaw) -> Self {
-        HistogramDistribution::new(raw.bbox, raw.nx, raw.ny, raw.mass)
     }
 }
 

@@ -39,7 +39,6 @@ use unn_geom::{Aabb, Disk, Point};
 /// heterogeneous inputs (e.g. a sensor database mixing GPS disks and
 /// particle-filter histograms).
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Uncertain {
     /// Discrete distribution of description complexity `k`.
     Discrete(DiscreteDistribution),
@@ -258,53 +257,6 @@ mod tests {
         let b = Uncertain::discretization_size(0.05, 0.1);
         assert!(b >= 4 * a - 4); // quadratic in 1/alpha
         assert!(Uncertain::discretization_size(0.5, 0.5) >= 1);
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn serde_round_trips_preserve_behavior() {
-        let models: Vec<Uncertain> = vec![
-            Uncertain::Discrete(
-                DiscreteDistribution::new(
-                    vec![Point::new(1.0, 2.0), Point::new(3.0, -1.0)],
-                    vec![1.0, 3.0],
-                )
-                .unwrap(),
-            ),
-            Uncertain::uniform_disk(Point::new(0.5, -0.5), 2.0),
-            Uncertain::Gaussian(TruncatedGaussian::with_sigmas(
-                Point::new(3.0, 0.0),
-                0.5,
-                3.0,
-            )),
-            Uncertain::Histogram(HistogramDistribution::new(
-                Aabb::new(Point::new(-1.0, -1.0), Point::new(1.0, 1.0)),
-                2,
-                2,
-                vec![1.0, 2.0, 3.0, 4.0],
-            )),
-            Uncertain::Polygon(UniformPolygon::from_ccw_vertices(vec![
-                Point::new(0.0, 0.0),
-                Point::new(2.0, 0.0),
-                Point::new(1.0, 2.0),
-            ])),
-        ];
-        let q = Point::new(4.0, 4.0);
-        for m in &models {
-            let json = serde_json::to_string(m).expect("serialize");
-            let back: Uncertain = serde_json::from_str(&json).expect("deserialize");
-            // Behavior-level equality: distances, cdf, moments.
-            assert_eq!(m.min_dist(q), back.min_dist(q));
-            assert_eq!(m.max_dist(q), back.max_dist(q));
-            for i in 1..10 {
-                let r = i as f64;
-                assert_eq!(m.distance_cdf(q, r), back.distance_cdf(q, r));
-            }
-            assert_eq!(m.mean(), back.mean());
-        }
-        // Invalid payloads are rejected by the constructor-backed path.
-        let bad = r#"{"Discrete":{"points":[{"x":0.0,"y":0.0}],"weights":[-1.0]}}"#;
-        assert!(serde_json::from_str::<Uncertain>(bad).is_err());
     }
 
     #[test]

@@ -18,7 +18,6 @@ use crate::traits::UncertainPoint;
 
 /// An uncertain point distributed uniformly over a disk.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct UniformDisk {
     disk: Disk,
 }

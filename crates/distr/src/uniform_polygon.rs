@@ -17,11 +17,6 @@ use crate::traits::UncertainPoint;
 
 /// An uncertain point uniform over a convex polygon.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(
-    feature = "serde",
-    derive(serde::Serialize, serde::Deserialize),
-    serde(from = "PolygonRaw", into = "PolygonRaw")
-)]
 pub struct UniformPolygon {
     poly: ConvexPolygon,
     area: f64,
@@ -116,27 +111,6 @@ impl UniformPolygon {
     /// The support polygon.
     pub fn polygon(&self) -> &ConvexPolygon {
         &self.poly
-    }
-}
-
-/// Serialization mirror rebuilding the fan decomposition on load.
-#[cfg(feature = "serde")]
-#[derive(serde::Serialize, serde::Deserialize)]
-struct PolygonRaw {
-    poly: ConvexPolygon,
-}
-
-#[cfg(feature = "serde")]
-impl From<UniformPolygon> for PolygonRaw {
-    fn from(p: UniformPolygon) -> Self {
-        PolygonRaw { poly: p.poly }
-    }
-}
-
-#[cfg(feature = "serde")]
-impl From<PolygonRaw> for UniformPolygon {
-    fn from(raw: PolygonRaw) -> Self {
-        UniformPolygon::new(raw.poly)
     }
 }
 

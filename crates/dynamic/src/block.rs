@@ -14,7 +14,7 @@ use unn_distr::{Uncertain, UncertainPoint};
 use unn_geom::{Aabb, Point};
 use unn_nonzero::DeltaCompose;
 use unn_quantify::point_stream_seed;
-use unn_spatial::{FilterPrecision, KdConfig, KdForest, KdTree};
+use unn_spatial::{KdConfig, KdForest, KdTree};
 
 use crate::PointId;
 
@@ -50,19 +50,7 @@ impl BlockCore {
     /// Builds a block from `(id, point)` entries. Entries need not be sorted;
     /// the block sorts them by id. `s` is the number of Monte-Carlo rounds
     /// (must be ≥ 1) and `seed` the index-level base seed.
-    pub fn build(entries: Vec<(PointId, Uncertain)>, seed: u64, s: usize) -> Self {
-        Self::build_with_filter(entries, seed, s, FilterPrecision::F64)
-    }
-
-    /// [`BlockCore::build`] with an explicit fill-phase precision tier for
-    /// the block's scan structures (the global sample tree and per-round
-    /// forest). Query answers are bit-identical under either tier.
-    pub fn build_with_filter(
-        mut entries: Vec<(PointId, Uncertain)>,
-        seed: u64,
-        s: usize,
-        filter: FilterPrecision,
-    ) -> Self {
+    pub fn build(mut entries: Vec<(PointId, Uncertain)>, seed: u64, s: usize) -> Self {
         debug_assert!(s >= 1);
         entries.sort_unstable_by_key(|(id, _)| *id);
         let n = entries.len();
@@ -90,7 +78,6 @@ impl BlockCore {
             }
         }
         let mut forest = KdForest::new();
-        forest.set_filter(filter);
         for r in 0..s {
             forest.push_round(&all[r * n..(r + 1) * n]);
         }
@@ -98,7 +85,7 @@ impl BlockCore {
         // queries whose folds are (distance, id)-lex minima — abort and
         // result depend on the ball's membership, not the leaf layout —
         // so bigger batched leaves are observationally safe and faster.
-        let global = KdTree::with_config(&all, KdConfig::scan_heavy().with_filter(filter));
+        let global = KdTree::with_config(&all, KdConfig::scan_heavy());
         Self {
             ids,
             points,

@@ -8,7 +8,6 @@ use std::sync::Arc;
 use unn_distr::{Uncertain, UncertainPoint};
 use unn_geom::Point;
 use unn_nonzero::DeltaCompose;
-use unn_spatial::FilterPrecision;
 
 use crate::block::BlockCore;
 use crate::PointId;
@@ -55,10 +54,6 @@ pub struct EngineConfig {
     /// Background-free: the check runs inside `insert`/`remove`, reads are
     /// counted by query snapshots via a shared atomic. `None` disables it.
     pub hot_promote_ratio: Option<f64>,
-    /// Fill-phase precision tier of every block's scan structures
-    /// ([`unn_spatial::FilterPrecision`]): `F32Refined` halves leaf-arena
-    /// fill bandwidth with answers bit-identical to the `F64` default.
-    pub filter: FilterPrecision,
 }
 
 impl Default for EngineConfig {
@@ -69,7 +64,6 @@ impl Default for EngineConfig {
             max_dead_fraction: 0.25,
             policy: CompactionPolicy::Logarithmic,
             hot_promote_ratio: None,
-            filter: FilterPrecision::F64,
         }
     }
 }
@@ -324,12 +318,7 @@ impl DynamicEngine {
             return None;
         }
         let live = entries.len();
-        let core = Arc::new(BlockCore::build_with_filter(
-            entries,
-            self.config.seed,
-            self.rounds(),
-            self.config.filter,
-        ));
+        let core = Arc::new(BlockCore::build(entries, self.config.seed, self.rounds()));
         let alive = Arc::new(vec![true; core.len()]);
         Some(Slot { core, alive, live })
     }

@@ -36,4 +36,3 @@ pub use block::BlockCore;
 pub use engine::{
     CompactionPolicy, DynamicEngine, DynamicError, DynamicStats, EngineConfig, EngineSnapshot,
 };
-pub use unn_spatial::FilterPrecision;

@@ -33,7 +33,6 @@ fn engine(policy: CompactionPolicy, ratio: Option<f64>) -> DynamicEngine {
         max_dead_fraction: MAX_DEAD,
         policy,
         hot_promote_ratio: ratio,
-        ..EngineConfig::default()
     })
 }
 

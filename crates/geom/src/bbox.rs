@@ -7,7 +7,6 @@ use crate::point::Point;
 /// An *empty* box has `min > max` componentwise; [`Aabb::EMPTY`] is the
 /// identity for [`Aabb::union`].
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Aabb {
     /// Lower-left corner.
     pub min: Point,

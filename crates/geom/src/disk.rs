@@ -9,7 +9,6 @@ use crate::point::{Point, Vector};
 
 /// A closed disk with center and non-negative radius.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Disk {
     /// Center.
     pub center: Point,

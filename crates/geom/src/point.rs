@@ -9,7 +9,6 @@ use core::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
 /// A point in the Euclidean plane.
 #[derive(Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Point {
     /// x-coordinate.
     pub x: f64,
@@ -19,7 +18,6 @@ pub struct Point {
 
 /// A displacement vector in the plane.
 #[derive(Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Vector {
     /// x-component.
     pub x: f64,

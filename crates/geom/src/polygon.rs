@@ -14,7 +14,6 @@ use crate::segment::{Line, Segment};
 
 /// A (possibly empty) convex polygon with counter-clockwise vertices.
 #[derive(Clone, Debug, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ConvexPolygon {
     verts: Vec<Point>,
 }

@@ -6,7 +6,6 @@ use crate::predicates::{orient2d, orientation, Orientation};
 
 /// A closed line segment between two endpoints.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Segment {
     /// First endpoint.
     pub a: Point,
@@ -19,7 +18,6 @@ pub struct Segment {
 /// The positive side is `n·p > c`; [`Line::through`] orients so that the
 /// positive side is to the left of the direction `b - a`.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Line {
     /// Normal vector (not necessarily unit).
     pub n: Vector,

@@ -43,7 +43,7 @@
 use rand::Rng;
 use unn_distr::{Uncertain, UncertainPoint};
 use unn_geom::{Aabb, AabbSoA, Point};
-use unn_spatial::{FilterPrecision, KdConfig, KdForest, KdTree, Neighbor};
+use unn_spatial::{KdConfig, KdForest, KdTree, Neighbor};
 use unn_voronoi::Delaunay;
 
 /// Per-round nearest-neighbor backend.
@@ -123,27 +123,12 @@ pub struct MonteCarloIndex {
 impl MonteCarloIndex {
     /// Builds the structure with `s` instantiations of `points`.
     pub fn build(points: &[Uncertain], s: usize, backend: McBackend, rng: &mut dyn Rng) -> Self {
-        Self::build_with_filter(points, s, backend, rng, FilterPrecision::F64)
-    }
-
-    /// [`MonteCarloIndex::build`] with an explicit fill-phase precision
-    /// tier for the hot scan structures (the global sample tree and the
-    /// per-round forest). `F32Refined` keeps every winner and π_i estimate
-    /// bit-identical to `F64` (see `unn_spatial::precision`).
-    pub fn build_with_filter(
-        points: &[Uncertain],
-        s: usize,
-        backend: McBackend,
-        rng: &mut dyn Rng,
-        filter: FilterPrecision,
-    ) -> Self {
         assert!(s > 0, "need at least one round");
         let n = points.len();
         let mut insts: Vec<Point> = Vec::with_capacity(n);
         let (storage, global) = match backend {
             McBackend::KdTree => {
                 let mut forest = KdForest::with_capacity(s, n);
-                forest.set_filter(filter);
                 let mut all: Vec<Point> = Vec::with_capacity(s * n);
                 for _ in 0..s {
                     insts.clear();
@@ -155,8 +140,7 @@ impl MonteCarloIndex {
                 // folds whose results are layout-invariant (the fold is a
                 // per-round (distance, object)-lex minimum), so the
                 // scan-heavy leaf layout is safe and benches fastest.
-                let global = (n > 0)
-                    .then(|| KdTree::with_config(&all, KdConfig::scan_heavy().with_filter(filter)));
+                let global = (n > 0).then(|| KdTree::with_config(&all, KdConfig::scan_heavy()));
                 (McStorage::Forest(forest), global)
             }
             McBackend::Delaunay => {

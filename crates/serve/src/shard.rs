@@ -22,8 +22,7 @@ use std::sync::{Arc, OnceLock};
 
 use unn_distr::{DiscreteDistribution, Uncertain, UncertainPoint};
 use unn_dynamic::{
-    CompactionPolicy, DynamicEngine, DynamicStats, EngineConfig, EngineSnapshot, FilterPrecision,
-    PointId,
+    CompactionPolicy, DynamicEngine, DynamicStats, EngineConfig, EngineSnapshot, PointId,
 };
 use unn_geom::Point;
 use unn_nonzero::DeltaCompose;
@@ -65,9 +64,6 @@ pub struct ServeConfig {
     pub policy: CompactionPolicy,
     /// Per-shard hot-block promotion ratio (`None` disables).
     pub hot_promote_ratio: Option<f64>,
-    /// Distance-fill precision tier of every shard's scan structures;
-    /// `F32Refined` is bit-identical to the `F64` default, only faster.
-    pub filter: FilterPrecision,
     /// Target additive error for adaptive quantification, in `(0, 1)`.
     pub epsilon: f64,
     /// Failure probability for Monte-Carlo guarantees, in `(0, 1)`.
@@ -86,7 +82,6 @@ impl Default for ServeConfig {
             max_dead_fraction: 0.25,
             policy: CompactionPolicy::Logarithmic,
             hot_promote_ratio: None,
-            filter: FilterPrecision::F64,
             epsilon: 0.05,
             delta: 0.01,
             numeric_steps: 2_000,
@@ -143,7 +138,6 @@ impl ServeConfig {
             max_dead_fraction: self.max_dead_fraction,
             policy: self.policy,
             hot_promote_ratio: self.hot_promote_ratio,
-            filter: self.filter,
         }
     }
 }

@@ -22,8 +22,7 @@
 use unn_geom::{Aabb, Point};
 
 use crate::kdtree::Neighbor;
-use crate::precision::{FilterPrecision, F32_SAFE_SCALE};
-use crate::scan::{scan_dists_below, F32Filter};
+use crate::scan::scan_dists_below;
 
 /// Max points per leaf (same policy as the [`crate::KdTree`] default).
 const LEAF_SIZE: usize = 8;
@@ -67,15 +66,6 @@ pub struct KdForest {
     /// Reordered point coordinates, structure-of-arrays.
     xs: Vec<f64>,
     ys: Vec<f64>,
-    /// f32 shadow copies of `xs`/`ys` — fill-phase arenas of the
-    /// [`FilterPrecision::F32Refined`] tier.
-    xs32: Vec<f32>,
-    ys32: Vec<f32>,
-    /// Max coordinate magnitude over all rounds (the filter's widening
-    /// scale, combined with the query magnitude per query).
-    coord_scale: f64,
-    /// Fill-phase precision tier (defaults to exact f64).
-    filter: FilterPrecision,
     /// Original (within-round) index of each reordered point.
     ids: Vec<u32>,
     /// `nodes[node_off[r] as usize]` is round `r`'s root;
@@ -93,44 +83,9 @@ impl KdForest {
             nodes: Vec::new(),
             xs: Vec::new(),
             ys: Vec::new(),
-            xs32: Vec::new(),
-            ys32: Vec::new(),
-            coord_scale: 0.0,
-            filter: FilterPrecision::F64,
             ids: Vec::new(),
             node_off: vec![0],
             pt_off: vec![0],
-        }
-    }
-
-    /// Sets the fill-phase precision tier for all subsequent queries
-    /// (answers are bit-identical under either setting; see
-    /// [`crate::precision`]).
-    pub fn set_filter(&mut self, filter: FilterPrecision) {
-        self.filter = filter;
-    }
-
-    /// The fill-phase precision tier queries currently run with.
-    #[inline]
-    pub fn filter_precision(&self) -> FilterPrecision {
-        self.filter
-    }
-
-    /// Per-query f32 filter view (the forest twin of the kd-tree's):
-    /// `None` when filtering is off or the coordinate scale exceeds
-    /// [`F32_SAFE_SCALE`].
-    #[inline]
-    fn filter_for(&self, q: Point) -> Option<F32Filter<'_>> {
-        match self.filter {
-            FilterPrecision::F64 => None,
-            FilterPrecision::F32Refined => {
-                let scale = self.coord_scale.max(q.x.abs()).max(q.y.abs());
-                (scale <= F32_SAFE_SCALE).then_some(F32Filter {
-                    xs32: &self.xs32,
-                    ys32: &self.ys32,
-                    scale,
-                })
-            }
         }
     }
 
@@ -149,10 +104,6 @@ impl KdForest {
             nodes: Vec::with_capacity(rounds * nodes_per_round),
             xs: Vec::with_capacity(total_pts),
             ys: Vec::with_capacity(total_pts),
-            xs32: Vec::with_capacity(total_pts),
-            ys32: Vec::with_capacity(total_pts),
-            coord_scale: 0.0,
-            filter: FilterPrecision::F64,
             ids: Vec::with_capacity(total_pts),
             node_off: Vec::with_capacity(rounds + 1),
             pt_off: Vec::with_capacity(rounds + 1),
@@ -201,15 +152,11 @@ impl KdForest {
         if !points.is_empty() {
             let mut order: Vec<u32> = (0..points.len() as u32).collect();
             build_forest_rec(&mut self.nodes, points, &mut order, pt_base);
-            // Scatter the build permutation into the SoA arenas (f64 and
-            // f32 shadows), tracking the filter's widening scale.
+            // Scatter the build permutation into the SoA arenas.
             for &orig in &order {
                 let p = points[orig as usize];
                 self.xs.push(p.x);
                 self.ys.push(p.y);
-                self.xs32.push(p.x as f32);
-                self.ys32.push(p.y as f32);
-                self.coord_scale = self.coord_scale.max(p.x.abs()).max(p.y.abs());
                 self.ids.push(orig);
             }
         } else {
@@ -285,12 +232,10 @@ impl KdForest {
         unn_observe::forest_node_visited();
         if n.is_leaf() {
             // Shared moving gate threshold, as in `KdTree::nearest_rec`.
-            let fil = if BATCH { self.filter_for(q) } else { None };
             let bd = std::cell::Cell::new(best.dist);
             scan_dists_below::<BATCH, _, _>(
                 &self.xs,
                 &self.ys,
-                fil.as_ref(),
                 n.start as usize,
                 n.end as usize,
                 q,
@@ -366,11 +311,8 @@ impl KdForest {
         }
         unn_observe::forest_node_visited();
         if n.is_leaf() {
-            // Threshold-gated form of the original ungated scan: the gate
-            // admits `d <= worst`, a superset of the consumer's strict
-            // `d < worst`, so the heap sees the identical sequence while
-            // the shared kernel's f32 filter tier applies.
-            let fil = if BATCH { self.filter_for(q) } else { None };
+            // The gate admits `d <= worst`, a superset of the consumer's
+            // strict `d < worst`, so the heap sees every slot it accepts.
             let cur_worst = std::cell::Cell::new(if heap.len() < m {
                 f64::INFINITY
             } else {
@@ -379,7 +321,6 @@ impl KdForest {
             scan_dists_below::<BATCH, _, _>(
                 &self.xs,
                 &self.ys,
-                fil.as_ref(),
                 n.start as usize,
                 n.end as usize,
                 q,

@@ -30,8 +30,7 @@
 use unn_geom::kernels::{AabbSoA, LANES};
 use unn_geom::{Aabb, Point};
 
-use crate::precision::{FilterPrecision, F32_SAFE_SCALE};
-use crate::scan::{scan_dists, scan_dists_below, F32Filter};
+use crate::scan::{scan_dists, scan_dists_below};
 
 /// Historical leaf capacity, now the [`KdConfig`] default.
 const DEFAULT_LEAF_SIZE: usize = 8;
@@ -53,11 +52,6 @@ pub struct KdConfig {
     /// tree descent (the classic flat-scan crossover, swept in
     /// `bench_quantify`).
     pub brute_force_below: usize,
-    /// Precision tier of the batched distance-fill phase. `F32Refined`
-    /// runs the fill over f32 shadow arenas with exact f64 refinement of
-    /// near-threshold candidates — bit-identical answers, lower fill
-    /// bandwidth (see [`crate::precision`]).
-    pub filter: FilterPrecision,
 }
 
 impl Default for KdConfig {
@@ -65,7 +59,6 @@ impl Default for KdConfig {
         KdConfig {
             leaf_size: DEFAULT_LEAF_SIZE,
             brute_force_below: DEFAULT_LEAF_SIZE,
-            filter: FilterPrecision::F64,
         }
     }
 }
@@ -79,13 +72,7 @@ impl KdConfig {
         KdConfig {
             leaf_size: 128,
             brute_force_below: 128,
-            filter: FilterPrecision::F64,
         }
-    }
-
-    /// This config with the given fill-phase precision tier.
-    pub fn with_filter(self, filter: FilterPrecision) -> Self {
-        KdConfig { filter, ..self }
     }
 
     /// Leaf capacity actually used for an input of `n` points.
@@ -142,16 +129,6 @@ pub struct KdTree {
     /// Reordered point coordinates, structure-of-arrays.
     xs: Vec<f64>,
     ys: Vec<f64>,
-    /// f32 shadow copies of `xs`/`ys` (same slot layout) — the fill-phase
-    /// arenas of the [`FilterPrecision::F32Refined`] tier.
-    xs32: Vec<f32>,
-    ys32: Vec<f32>,
-    /// Max coordinate magnitude over the stored points (0 when empty) —
-    /// the widening scale of the f32 filter; combined with the query's
-    /// magnitude per query.
-    coord_scale: f64,
-    /// Fill-phase precision tier from [`KdConfig::filter`].
-    filter: FilterPrecision,
     /// Per-point lower offsets: node `min_aux` is their subtree minimum.
     aux_lo: Vec<f64>,
     /// Per-point upper offsets: node `max_aux` is their subtree maximum.
@@ -217,25 +194,16 @@ impl KdTree {
         if n > 0 {
             build_rec(&mut nodes, points, lo, hi, &mut order, 0, leaf);
         }
-        // Scatter the build permutation into the SoA arenas (f64 and the
-        // f32 shadow copies), tracking the filter's widening scale.
+        // Scatter the build permutation into the SoA arenas.
         let mut xs = Vec::with_capacity(n);
         let mut ys = Vec::with_capacity(n);
-        let mut xs32 = Vec::with_capacity(n);
-        let mut ys32 = Vec::with_capacity(n);
         let mut aux_lo = Vec::with_capacity(n);
         let mut aux_hi = Vec::with_capacity(n);
-        let mut coord_scale = 0.0f64;
         for &i in &order {
             let i = i as usize;
             let p = points[i];
             xs.push(p.x);
             ys.push(p.y);
-            xs32.push(p.x as f32);
-            ys32.push(p.y as f32);
-            // `max` drops NaN coordinates from the scale; the kernel's
-            // NaN-admitting gate still routes them to the exact re-check.
-            coord_scale = coord_scale.max(p.x.abs()).max(p.y.abs());
             aux_lo.push(lo[i]);
             aux_hi.push(hi[i]);
         }
@@ -243,37 +211,9 @@ impl KdTree {
             nodes,
             xs,
             ys,
-            xs32,
-            ys32,
-            coord_scale,
-            filter: config.filter,
             aux_lo,
             aux_hi,
             ids: order,
-        }
-    }
-
-    /// The fill-phase precision tier this tree was built with.
-    #[inline]
-    pub fn filter_precision(&self) -> FilterPrecision {
-        self.filter
-    }
-
-    /// The per-query f32 filter view, or `None` when the tree is `F64` or
-    /// the coordinate scale (points ∪ query) exceeds [`F32_SAFE_SCALE`] —
-    /// the overflow-safety fallback to the exact fill.
-    #[inline]
-    fn filter_for(&self, q: Point) -> Option<F32Filter<'_>> {
-        match self.filter {
-            FilterPrecision::F64 => None,
-            FilterPrecision::F32Refined => {
-                let scale = self.coord_scale.max(q.x.abs()).max(q.y.abs());
-                (scale <= F32_SAFE_SCALE).then_some(F32Filter {
-                    xs32: &self.xs32,
-                    ys32: &self.ys32,
-                    scale,
-                })
-            }
         }
     }
 
@@ -305,10 +245,7 @@ impl KdTree {
     /// Threshold-gated leaf scan ([`scan_dists_below`]): `f` only sees
     /// slots whose distance can pass `thresh()`; batches with no admissible
     /// lane are rejected by one vectorized compare. `f` must still apply
-    /// its exact predicate — the gate over-approximates. The batched arm
-    /// consults [`KdTree::filter_for`], so an `F32Refined` tree runs its
-    /// fill phase over the f32 shadow arenas; the scalar arm is always the
-    /// exact f64 oracle.
+    /// its exact predicate — the gate over-approximates.
     #[inline]
     fn scan_below<const BATCH: bool, T: FnMut() -> f64, F: FnMut(usize, f64)>(
         &self,
@@ -318,11 +255,9 @@ impl KdTree {
         thresh: &mut T,
         f: &mut F,
     ) {
-        let fil = if BATCH { self.filter_for(q) } else { None };
         scan_dists_below::<BATCH, T, F>(
             &self.xs,
             &self.ys,
-            fil.as_ref(),
             start as usize,
             end as usize,
             q,
@@ -1020,10 +955,8 @@ impl KdTree {
         unn_observe::kd_node_visited();
         if n.is_leaf() {
             if BATCH {
-                // Threshold-gated form of the original ungated scan: the
-                // gate admits `d <= cap` (a superset of the consumer's
-                // strict `d < cap`), so the visit set is unchanged while
-                // the shared kernel's f32 filter tier applies.
+                // The gate admits `d <= cap`, a superset of the consumer's
+                // strict `d < cap`, so it never drops a slot `visit` takes.
                 let cap_cell = std::cell::Cell::new(*cap);
                 self.scan_below::<true, _, _>(
                     n.start,
@@ -1495,7 +1428,6 @@ mod tests {
                 KdConfig {
                     leaf_size: 3,
                     brute_force_below: 0,
-                    ..KdConfig::default()
                 },
             ),
             KdTree::with_config(
@@ -1503,12 +1435,7 @@ mod tests {
                 KdConfig {
                     leaf_size: 8,
                     brute_force_below: 500,
-                    ..KdConfig::default()
                 },
-            ),
-            KdTree::with_config(
-                &pts,
-                KdConfig::scan_heavy().with_filter(FilterPrecision::F32Refined),
             ),
         ];
         assert!(trees[3].nodes.len() == 1, "brute_force_below must flatten");

@@ -24,7 +24,6 @@ pub mod forest;
 pub mod grid;
 pub mod kdtree;
 pub mod persist;
-pub mod precision;
 pub mod quadtree;
 pub mod rtree;
 mod scan;
@@ -33,8 +32,5 @@ pub use forest::KdForest;
 pub use grid::UniformGrid;
 pub use kdtree::{KdConfig, KdTree, Neighbor};
 pub use persist::PersistentSet;
-pub use precision::{
-    f32_lower_bound, f32_upper_bound, f32_widened_threshold, FilterPrecision, F32_SAFE_SCALE,
-};
 pub use quadtree::QuadTree;
 pub use rtree::RTree;

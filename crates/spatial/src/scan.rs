@@ -18,38 +18,14 @@
 //! per element and hand results to the consumer in ascending slot order, so
 //! they are **bit-identical** by construction — `tests/kernel_equivalence.rs`
 //! at the workspace root guards that equivalence against drift.
-//!
-//! [`scan_dists_below`] optionally runs its fill phase over f32 shadow
-//! arenas ([`F32Filter`], enabled by
-//! [`FilterPrecision::F32Refined`](crate::FilterPrecision)): slots are
-//! gated against a conservatively widened threshold and every admitted
-//! slot is recomputed with the exact f64 sequence before the visit pass,
-//! preserving the bit-identity contract (see [`crate::precision`]).
 
 use unn_geom::kernels::LANES;
 use unn_geom::Point;
-
-use crate::precision::f32_widened_threshold;
 
 /// Slots per two-phase chunk: bounds the stack distance buffer while
 /// staying large enough that the vectorized fill amortizes the phase
 /// switch for every leaf size [`crate::KdConfig`] allows.
 pub(crate) const SCAN_CHUNK: usize = 256;
-
-/// Borrowed f32 shadow arenas plus the widening scale — the per-query view
-/// a [`crate::FilterPrecision::F32Refined`] scan gates with. Callers only
-/// construct one when every coordinate (points and query) is within
-/// [`crate::precision::F32_SAFE_SCALE`]; otherwise the query falls back to
-/// the exact f64 fill and passes `None`.
-pub(crate) struct F32Filter<'a> {
-    /// f32 copies of the f64 `x[]` arena, same slot layout.
-    pub xs32: &'a [f32],
-    /// f32 copies of the f64 `y[]` arena, same slot layout.
-    pub ys32: &'a [f32],
-    /// Max coordinate magnitude over arena ∪ query — the `scale` argument
-    /// of [`f32_widened_threshold`].
-    pub scale: f64,
-}
 
 /// Fills `dbuf[k] = d(q, p_{start+k})` for `k < end - start` with the exact
 /// `Point::dist` operation sequence per element. Pure straight-line loop —
@@ -101,82 +77,6 @@ pub(crate) fn scan_dists<const BATCH: bool, F: FnMut(usize, f64)>(
     }
 }
 
-/// Fills `dbuf[k]` with the f32-pipeline distance of slot `start + k`:
-/// cast coordinates, subtract, square-sum, sqrt — all in f32. Same
-/// straight-line autovectorization surface as [`fill_dists`], at half the
-/// load bandwidth and twice the lane width.
-#[inline]
-fn fill_dists32(
-    xs32: &[f32],
-    ys32: &[f32],
-    start: usize,
-    end: usize,
-    qx: f32,
-    qy: f32,
-    dbuf: &mut [f32],
-) {
-    let len = end - start;
-    let (xc, yc) = (&xs32[start..end], &ys32[start..end]);
-    for ((dst, &x), &y) in dbuf[..len].iter_mut().zip(xc).zip(yc) {
-        let dx = x - qx;
-        let dy = y - qy;
-        *dst = (dx * dx + dy * dy).sqrt();
-    }
-}
-
-/// The f32-filtered two-phase chunk loop behind [`scan_dists_below`]: fill
-/// in f32, gate against the widened threshold, and recompute every admitted
-/// slot with the exact f64 operation sequence before handing it to `f` —
-/// so the consumer observes the identical `(slot, d)` stream as the exact
-/// paths (DESIGN.md §8).
-#[inline]
-#[allow(clippy::too_many_arguments)] // internal kernel; mirrors scan_dists_below
-fn scan_below_f32<T: FnMut() -> f64, F: FnMut(usize, f64)>(
-    xs: &[f64],
-    ys: &[f64],
-    fil: &F32Filter<'_>,
-    start: usize,
-    end: usize,
-    q: Point,
-    thresh: &mut T,
-    f: &mut F,
-) {
-    let (qx32, qy32) = (q.x as f32, q.y as f32);
-    let mut dbuf = [0.0f32; SCAN_CHUNK];
-    // Widened-threshold cache, invalidated whenever the re-read threshold
-    // moves: a consumer that tightens its incumbent mid-chunk must gate
-    // later slots against the *new* widened value, exactly as the exact
-    // paths re-read `thresh()` per slot.
-    let mut cached_t = f64::NAN;
-    let mut widened = f64::INFINITY;
-    let mut i = start;
-    while i < end {
-        let stop = (i + SCAN_CHUNK).min(end);
-        fill_dists32(fil.xs32, fil.ys32, i, stop, qx32, qy32, &mut dbuf);
-        for (k, &d32) in dbuf[..stop - i].iter().enumerate() {
-            let t = thresh();
-            if t.to_bits() != cached_t.to_bits() {
-                widened = f32_widened_threshold(t, fil.scale);
-                cached_t = t;
-            }
-            // NaN-admitting compare: a poisoned fill (NaN coordinates)
-            // must reach the exact re-check, which rejects it the same
-            // way the f64 paths do.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            if !(f64::from(d32) > widened) {
-                let slot = i + k;
-                let dx = xs[slot] - q.x;
-                let dy = ys[slot] - q.y;
-                let d = (dx * dx + dy * dy).sqrt();
-                if d <= t {
-                    f(slot, d);
-                }
-            }
-        }
-        i = stop;
-    }
-}
-
 /// [`scan_dists`] with an admission threshold: `f` is only invoked for
 /// slots whose distance satisfies `d <= thresh()` at the time the slot is
 /// reached — the common reject case never enters the consumer.
@@ -186,18 +86,10 @@ fn scan_below_f32<T: FnMut() -> f64, F: FnMut(usize, f64)>(
 /// newer value. Since every consumer predicate implies `d <= thresh()`,
 /// the gate never drops a slot the consumer would have accepted, and
 /// consumer-visible behavior is bit-identical across both `BATCH` modes.
-///
-/// `filter` (only consulted when `BATCH`) switches the fill phase to the
-/// f32 shadow arenas with widened-threshold admission and exact f64
-/// refinement of admitted slots — same consumer-visible stream, roughly
-/// half the fill bandwidth. The scalar arm ignores it: that path *is* the
-/// f64 oracle the filter is diffed against.
 #[inline]
-#[allow(clippy::too_many_arguments)] // crate-internal leaf-scan entry point
 pub(crate) fn scan_dists_below<const BATCH: bool, T: FnMut() -> f64, F: FnMut(usize, f64)>(
     xs: &[f64],
     ys: &[f64],
-    filter: Option<&F32Filter<'_>>,
     start: usize,
     end: usize,
     q: Point,
@@ -207,10 +99,6 @@ pub(crate) fn scan_dists_below<const BATCH: bool, T: FnMut() -> f64, F: FnMut(us
     unn_observe::leaf_points((end - start) as u64);
     if BATCH {
         unn_observe::simd_batches_add(((end - start) / LANES) as u64);
-        if let Some(fil) = filter {
-            scan_below_f32(xs, ys, fil, start, end, q, thresh, f);
-            return;
-        }
         let mut dbuf = [0.0f64; SCAN_CHUNK];
         let mut i = start;
         while i < end {

@@ -13,7 +13,7 @@ use unn_geom::{Aabb, AabbSoA, Point};
 
 /// Duplicate-heavy random point cloud in `[-50, 50]²`: one in four points
 /// copies an earlier one, because ties in distance and id order are where
-/// batched/scalar (and f32/f64) divergence would hide.
+/// batched/scalar divergence would hide.
 pub fn points(n: usize, seed: u64) -> Vec<Point> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut pts: Vec<Point> = Vec::with_capacity(n);
@@ -85,7 +85,7 @@ pub fn radii(pts: &[Point], q: Point) -> [f64; 3] {
 /// The named adversarial point corpora: exact coincidence (ties
 /// everywhere), large-offset collinear points (catastrophic cancellation),
 /// denormal coordinates (gradual underflow), and near-`f64::MAX`
-/// magnitudes (f32 overflow, squared-distance overflow).
+/// magnitudes (squared-distance overflow).
 pub fn adversarial() -> Vec<(&'static str, Vec<Point>)> {
     let p = Point::new;
     let mut coincident = vec![p(1.5, -2.5); 19];

@@ -2,11 +2,10 @@
 //!
 //! The integration suites (`tests/kernel_equivalence.rs`,
 //! `tests/dynamic_oracle.rs`, `tests/oracle.rs`,
-//! `tests/precision_refinement.rs`, `tests/fault_injection.rs`) all probe
-//! the same invariant from different angles: *every read path is a pure
-//! function of the live point set* — batched vs scalar, dynamic vs fresh
-//! static, f32-filtered vs exact f64. Before this crate each suite carried
-//! its own copy of the corpus generators; a corpus hardened in one file
+//! `tests/fault_injection.rs`) all probe the same invariant from different
+//! angles: *every read path is a pure function of the live point set* —
+//! batched vs scalar, dynamic vs fresh static. Before this crate each suite
+//! carried its own copy of the corpus generators; a corpus hardened in one file
 //! (denormals, 1e308 coordinates, churn-shaped id gaps) silently never
 //! reached the others.
 //!
@@ -22,10 +21,6 @@
 //! * [`sig`] — the full read-path battery serialized into a flat word
 //!   stream: two signatures are equal iff the two paths were bit-identical
 //!   on every kernel.
-//! * [`near_tie`] — [`NearTieForge`](near_tie::NearTieForge) manufactures
-//!   instances whose f32 distances **tie** while their f64 distances
-//!   differ, with the farther point at the lower id: the exact corner where
-//!   an unwidened f32 admission gate returns the wrong neighbor.
 //!
 //! Everything is deterministic: generators take explicit seeds and derive
 //! any internal streams from them, so a failing case replays from its seed
@@ -37,10 +32,7 @@
 
 pub mod churn;
 pub mod corpus;
-pub mod near_tie;
 pub mod sig;
-
-pub use near_tie::{NearTieForge, NearTieInstance, NearTiePair};
 
 /// Largest absolute componentwise difference between two equal-length
 /// probability vectors — the metric every honesty bound is stated in.

@@ -3,7 +3,7 @@
 //! sequences, completion flags, fold outputs — into a flat word stream.
 //! Two signatures are equal **iff** the two paths were bit-identical on
 //! every kernel, which is exactly the claim the differential suites make
-//! (batched vs scalar, f32-filtered vs f64, threaded vs sequential).
+//! (batched vs scalar, threaded vs sequential).
 
 use unn_geom::{AabbSoA, Point};
 use unn_nonzero::DeltaCompose;
@@ -22,12 +22,10 @@ pub fn configs() -> [KdConfig; 4] {
         KdConfig {
             leaf_size: 1,
             brute_force_below: 0,
-            ..KdConfig::default()
         },
         KdConfig {
             leaf_size: 5,
             brute_force_below: 40,
-            ..KdConfig::default()
         },
     ]
 }

@@ -1,8 +1,7 @@
 //! Versioned binary wire protocol for the serving tier.
 //!
-//! The workspace has no real serde (the vendored `serde` is a compat stub),
-//! so this crate is a hand-rolled, explicit little-endian codec for
-//! everything that crosses the network boundary of `unn-net`:
+//! A hand-rolled, explicit little-endian codec for everything that crosses
+//! the network boundary of `unn-net`:
 //!
 //! * **Framing** — every message is `len: u32 LE` followed by `len` body
 //!   bytes; the first body byte is the frame tag. `len` is bounded by

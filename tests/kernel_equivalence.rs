@@ -6,8 +6,7 @@
 //! dynamic churn, and concurrent query threads.
 //!
 //! Corpora, signatures, and the churn driver live in `unn-testkit`
-//! (shared with `tests/dynamic_oracle.rs` and
-//! `tests/precision_refinement.rs`); this file owns only the
+//! (shared with `tests/dynamic_oracle.rs`); this file owns only the
 //! batched-vs-scalar assertions.
 //!
 //! The one deliberate exception is [`KdTree::prune_with_cap`], whose
@@ -179,6 +178,19 @@ proptest! {
 // Adversarial geometry
 // ---------------------------------------------------------------------------
 
+/// Probe points for an adversarial corpus: both ends of the corpus, the
+/// origin, a denormal point, a generic point, and one near overflow.
+fn adversarial_queries(pts: &[Point]) -> Vec<Point> {
+    vec![
+        pts[0],
+        pts[pts.len() - 1],
+        Point::new(0.0, 0.0),
+        Point::new(1e-308, -5e-324),
+        Point::new(7.25, -7.25),
+        Point::new(1e308, 1e307),
+    ]
+}
+
 #[test]
 fn adversarial_geometry_batched_matches_scalar() {
     for (name, pts) in corpus::adversarial() {
@@ -187,14 +199,7 @@ fn adversarial_geometry_batched_matches_scalar() {
         // on the coincident corpus.
         let zeros = vec![0.0; pts.len()];
         let boxes = corpus::support_boxes(&pts, &zeros);
-        let mut queries = vec![
-            pts[0],
-            pts[pts.len() - 1],
-            Point::new(0.0, 0.0),
-            Point::new(1e-308, -5e-324),
-            Point::new(7.25, -7.25),
-        ];
-        queries.push(Point::new(1e308, 1e307));
+        let queries = adversarial_queries(&pts);
         for cfg in configs() {
             let tree = KdTree::with_aux_bounds_config(&pts, &zeros, &zeros, cfg);
             assert_eq!(
@@ -203,17 +208,58 @@ fn adversarial_geometry_batched_matches_scalar() {
                 "batched/scalar divergence on adversarial corpus `{name}` under {cfg:?}"
             );
         }
-        // And once more with nontrivial asymmetric offsets.
-        let (lo, hi) = corpus::aux_offsets(pts.len(), 0x5A5A);
-        let tree = KdTree::with_aux_bounds_config(&pts, &lo, &hi, KdConfig::scan_heavy());
-        let boxes = corpus::support_boxes(&pts, &lo);
-        assert_eq!(
-            kd_signature(&tree, &pts, &lo, &boxes, &queries, false),
-            kd_signature(&tree, &pts, &lo, &boxes, &queries, true),
-            "batched/scalar divergence on weighted adversarial corpus `{name}`"
-        );
         check_forest(&pts, 0xAD);
     }
+}
+
+#[test]
+fn weighted_adversarial_geometry_batched_matches_scalar() {
+    // Nontrivial asymmetric offsets under every layout config.
+    for (name, pts) in corpus::adversarial() {
+        let (lo, hi) = corpus::aux_offsets(pts.len(), 0x5A5A);
+        let boxes = corpus::support_boxes(&pts, &lo);
+        let queries = adversarial_queries(&pts);
+        for cfg in configs() {
+            let tree = KdTree::with_aux_bounds_config(&pts, &lo, &hi, cfg);
+            assert_eq!(
+                kd_signature(&tree, &pts, &lo, &boxes, &queries, false),
+                kd_signature(&tree, &pts, &lo, &boxes, &queries, true),
+                "batched/scalar divergence on weighted adversarial corpus `{name}` under {cfg:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn mid_batch_tightened_threshold_gates_identically() {
+    // Points in strictly descending distance from `q`, all in one flat
+    // leaf, so every point tightens the nearest incumbent *within a single
+    // fill chunk*, not at a node boundary.
+    let q = Point::new(0.25, -0.5);
+    let pts: Vec<Point> = (0..11)
+        .map(|k| {
+            let r = 40.0 * 0.5f64.powf(0.5 * k as f64);
+            let a = 0.7 * k as f64;
+            Point::new(q.x + r * a.cos(), q.y + r * a.sin())
+        })
+        .collect();
+    assert!(pts.windows(2).all(|w| w[0].dist(q) > w[1].dist(q)));
+    let one_leaf = KdConfig {
+        leaf_size: 1024,
+        brute_force_below: 1024,
+    };
+    let zeros = vec![0.0; pts.len()];
+    let boxes = corpus::support_boxes(&pts, &zeros);
+    let tree = KdTree::with_aux_bounds_config(&pts, &zeros, &zeros, one_leaf);
+    assert_eq!(
+        kd_signature(&tree, &pts, &zeros, &boxes, &[q], false),
+        kd_signature(&tree, &pts, &zeros, &boxes, &[q], true),
+        "batched/scalar divergence under mid-chunk threshold tightening"
+    );
+    let n = tree
+        .nearest_within(q, f64::INFINITY)
+        .unwrap_or_else(|| panic!("corpus is nonempty"));
+    assert_eq!(n.id, pts.len() - 1, "the last tightener must win");
 }
 
 // ---------------------------------------------------------------------------
@@ -222,24 +268,25 @@ fn adversarial_geometry_batched_matches_scalar() {
 // bit-for-bit, batched and scalar alike.
 // ---------------------------------------------------------------------------
 
-#[test]
-fn concurrent_queries_are_bit_identical() {
-    let pts = corpus::points(300, 0xBEEF);
+fn check_threads(name: &str, pts: &[Point]) {
     let (lo, hi) = corpus::aux_offsets(pts.len(), 0xBEEF);
-    let boxes = corpus::support_boxes(&pts, &lo);
-    let queries = corpus::queries_for(6, &pts, 0xBEEF);
-    let tree = KdTree::with_aux_bounds_config(&pts, &lo, &hi, KdConfig::scan_heavy());
-    let reference = kd_signature(&tree, &pts, &lo, &boxes, &queries, false);
-    let reference_scalar = kd_signature(&tree, &pts, &lo, &boxes, &queries, true);
-    assert_eq!(reference, reference_scalar);
+    let boxes = corpus::support_boxes(pts, &lo);
+    let queries = corpus::queries_for(6, pts, 0xBEEF);
+    let tree = KdTree::with_aux_bounds_config(pts, &lo, &hi, KdConfig::scan_heavy());
+    let reference = kd_signature(&tree, pts, &lo, &boxes, &queries, false);
+    let reference_scalar = kd_signature(&tree, pts, &lo, &boxes, &queries, true);
+    assert_eq!(
+        reference, reference_scalar,
+        "batched/scalar divergence on `{name}`"
+    );
     for threads in [1usize, 2, 8] {
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|_| {
                     scope.spawn(|| {
                         (
-                            kd_signature(&tree, &pts, &lo, &boxes, &queries, false),
-                            kd_signature(&tree, &pts, &lo, &boxes, &queries, true),
+                            kd_signature(&tree, pts, &lo, &boxes, &queries, false),
+                            kd_signature(&tree, pts, &lo, &boxes, &queries, true),
                         )
                     })
                 })
@@ -248,13 +295,25 @@ fn concurrent_queries_are_bit_identical() {
                 let (batched, scalar) = h.join().expect("query thread panicked");
                 assert_eq!(
                     batched, reference,
-                    "batched signature diverged across threads"
+                    "batched signature diverged across threads on `{name}`"
                 );
                 assert_eq!(
                     scalar, reference,
-                    "scalar signature diverged across threads"
+                    "scalar signature diverged across threads on `{name}`"
                 );
             }
         });
+    }
+}
+
+#[test]
+fn concurrent_queries_are_bit_identical() {
+    check_threads("random", &corpus::points(300, 0xBEEF));
+}
+
+#[test]
+fn adversarial_queries_are_bit_identical_across_threads() {
+    for (name, pts) in corpus::adversarial() {
+        check_threads(name, &pts);
     }
 }
