@@ -30,9 +30,9 @@ pub use exact::{
 };
 pub use knn::knn_membership_exact;
 pub use montecarlo::{
-    adaptive_over_winners, point_stream_seed, quantification_monte_carlo,
-    quantification_monte_carlo_into, AdaptiveQuantify, McBackend, MonteCarloIndex,
-    ADAPTIVE_MIN_ROUNDS,
+    adaptive_half_width_bound, adaptive_over_winners, point_stream_seed,
+    quantification_monte_carlo, quantification_monte_carlo_into, AdaptiveQuantify, McBackend,
+    MonteCarloIndex, ADAPTIVE_MIN_ROUNDS,
 };
 pub use numeric::quantification_numeric;
 pub use spiral::{SpiralBackend, SpiralIndex};

@@ -565,23 +565,7 @@ impl MonteCarloIndex {
             };
         }
         let s = max_rounds.clamp(1, self.s);
-        let first = min_rounds.clamp(1, s);
-        // Number of checkpoints in the doubling schedule — the union bound
-        // spends delta / (checkpoints · n) per point per checkpoint.
-        let checkpoints = {
-            let (mut k, mut t) = (1usize, first);
-            while t < s {
-                t = (t * 2).min(s);
-                k += 1;
-            }
-            k as f64
-        };
-        let union = checkpoints * self.n as f64 / delta;
-        // Hoeffding with delta' = delta/(2·K·n) per (i, checkpoint); the
-        // other half of the budget goes to the Bernstein family below.
-        let l_hoeff = (4.0 * union).ln();
-        // Empirical Bernstein (MSA'08, Thm 1 shape): ln(3/delta') terms.
-        let l_bern = (6.0 * union).ln();
+        let (first, l_hoeff, l_bern) = stopping_schedule(self.n, delta, min_rounds, s);
         let seed = self.seed_for(q);
         // Forest backend: all winners come from the single-traversal ball
         // fold (same cost as one fixed-`s` query); early stopping then only
@@ -626,7 +610,7 @@ impl MonteCarloIndex {
     /// bound at the worst observed empirical variance.
     fn stop_half_width(counts: &[u32], t: usize, l_hoeff: f64, l_bern: f64) -> f64 {
         let tf = t as f64;
-        let hoeff = (l_hoeff / (2.0 * tf)).sqrt();
+        let hoeff = hoeffding_half_width(t, l_hoeff);
         if t < 2 {
             return hoeff;
         }
@@ -699,6 +683,73 @@ pub fn point_stream_seed(seed: u64, id: u64) -> u64 {
     state
 }
 
+/// The doubling-checkpoint schedule both adaptive folds stop on, over `n`
+/// points with checkpoints doubling from `min_rounds` and saturating at
+/// `s ≥ 1`: `(first checkpoint, Hoeffding log term, empirical-Bernstein
+/// log term)`. One function keeps both folds, and
+/// [`adaptive_half_width_bound`], on the same float operations.
+fn stopping_schedule(n: usize, delta: f64, min_rounds: usize, s: usize) -> (usize, f64, f64) {
+    let first = min_rounds.clamp(1, s);
+    // Number of checkpoints in the doubling schedule — the union bound
+    // spends delta / (checkpoints · n) per point per checkpoint.
+    let checkpoints = {
+        let (mut k, mut t) = (1usize, first);
+        while t < s {
+            t = (t * 2).min(s);
+            k += 1;
+        }
+        k as f64
+    };
+    let union = checkpoints * n as f64 / delta;
+    // Hoeffding with delta' = delta/(2·K·n) per (i, checkpoint); the other
+    // half of the budget goes to the Bernstein family.
+    let l_hoeff = (4.0 * union).ln();
+    // Empirical Bernstein (MSA'08, Thm 1 shape): ln(3/delta') terms.
+    let l_bern = (6.0 * union).ln();
+    (first, l_hoeff, l_bern)
+}
+
+/// The variance-free Hoeffding half-width after `t` rounds.
+fn hoeffding_half_width(t: usize, l_hoeff: f64) -> f64 {
+    (l_hoeff / (2.0 * t as f64)).sqrt()
+}
+
+/// The largest `half_width` an adaptive fold over `n` points can return
+/// without having stopped early: the Hoeffding half-width at its last
+/// checkpoint, `max_rounds` (read as 1 when 0).
+///
+/// With the same `(n, delta, min_rounds, max_rounds)` and at least
+/// `max_rounds` rounds available, [`MonteCarloIndex::quantify_adaptive_capped`]
+/// and [`adaptive_over_winners`] either stop at a checkpoint whose
+/// half-width is `≤ eps`, or run to `max_rounds` and report the tighter
+/// of this bound and the empirical-Bernstein one. Their `half_width` is
+/// therefore at most `max(eps, bound)`, so a bound `≤ eps` certifies
+/// `eps` before the query runs. The bound grows with `n`, so it also
+/// covers folds over fewer points. `n == 0` returns 0, the half-width of
+/// an empty fold.
+///
+/// ```
+/// use unn_quantify::adaptive_half_width_bound;
+///
+/// // 4096 rounds over 256 points certify ±0.05 at δ = 0.01; 512 do not.
+/// assert!(adaptive_half_width_bound(256, 0.01, 32, 4096) <= 0.05);
+/// assert!(adaptive_half_width_bound(256, 0.01, 32, 512) > 0.05);
+/// ```
+pub fn adaptive_half_width_bound(
+    n: usize,
+    delta: f64,
+    min_rounds: usize,
+    max_rounds: usize,
+) -> f64 {
+    assert!(delta > 0.0 && delta < 1.0, "delta must be in (0,1)");
+    if n == 0 {
+        return 0.0;
+    }
+    let s = max_rounds.max(1);
+    let (_, l_hoeff, _) = stopping_schedule(n, delta, min_rounds, s);
+    hoeffding_half_width(s, l_hoeff)
+}
+
 /// The adaptive early-stopping rule of
 /// [`MonteCarloIndex::quantify_adaptive_capped`] applied to a
 /// caller-supplied per-round winner sequence.
@@ -732,18 +783,7 @@ pub fn adaptive_over_winners(
         };
     }
     let s = max_rounds.clamp(1, winners.len());
-    let first = min_rounds.clamp(1, s);
-    let checkpoints = {
-        let (mut k, mut t) = (1usize, first);
-        while t < s {
-            t = (t * 2).min(s);
-            k += 1;
-        }
-        k as f64
-    };
-    let union = checkpoints * n as f64 / delta;
-    let l_hoeff = (4.0 * union).ln();
-    let l_bern = (6.0 * union).ln();
+    let (first, l_hoeff, l_bern) = stopping_schedule(n, delta, min_rounds, s);
     let mut counts = vec![0u32; n];
     let mut used = 0usize;
     let mut next = first;
@@ -1136,6 +1176,74 @@ mod tests {
                     adaptive_over_winners(&winners, mc.len(), eps, 0.01, ADAPTIVE_MIN_ROUNDS, cap);
                 assert_eq!(got, want, "eps={eps} cap={cap} q={q:?}");
             }
+        }
+    }
+
+    /// Winner sequences of `s` rounds over `n` points: one repeated
+    /// winner, every point in turn (all distinct while `s <= n`), and
+    /// uniform random.
+    fn winner_kinds(n: usize, s: usize, seed: u64) -> [Vec<u32>; 3] {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        [
+            vec![(seed % n as u64) as u32; s],
+            (0..s).map(|r| (r % n) as u32).collect(),
+            (0..s).map(|_| rng.random_range(0..n as u32)).collect(),
+        ]
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_adaptive_half_width_within_bound(
+            n in 1usize..600,
+            s in 1usize..3000,
+            delta in 0.001f64..0.5,
+            min_rounds in 1usize..100,
+            eps in 0.001f64..0.5,
+            seed in 0u64..1_000_000,
+        ) {
+            let bound = adaptive_half_width_bound(n, delta, min_rounds, s);
+            for winners in winner_kinds(n, s, seed) {
+                // Stopped early (≤ ε) or ran to s (≤ the bound).
+                let a = adaptive_over_winners(&winners, n, eps, delta, min_rounds, s);
+                proptest::prop_assert!(a.half_width <= bound.max(eps));
+                // ε below every checkpoint's (positive) half-width: the
+                // fold runs to s and ends within the bound.
+                let full =
+                    adaptive_over_winners(&winners, n, f64::MIN_POSITIVE, delta, min_rounds, s);
+                proptest::prop_assert_eq!(full.rounds_used, s);
+                proptest::prop_assert!(full.half_width <= bound);
+            }
+            // An even two-way split has the largest empirical variance, 1/4,
+            // so Hoeffding is the tighter term at s and the fold ends on
+            // exactly the bound.
+            let split: Vec<u32> = (0..2 * s).map(|r| (r % 2) as u32).collect();
+            let full = adaptive_over_winners(&split, 2, f64::MIN_POSITIVE, delta, min_rounds, 2 * s);
+            let bound = adaptive_half_width_bound(2, delta, min_rounds, 2 * s);
+            proptest::prop_assert_eq!(full.half_width.to_bits(), bound.to_bits());
+        }
+    }
+
+    #[test]
+    fn indexed_adaptive_half_width_within_bound() {
+        let points = random_discrete(9, 3, 173);
+        let mut rng = SmallRng::seed_from_u64(174);
+        let mc = MonteCarloIndex::build(&points, 700, McBackend::KdTree, &mut rng);
+        let mut prng = SmallRng::seed_from_u64(175);
+        for _ in 0..200 {
+            let q = Point::new(
+                prng.random_range(-25.0..25.0),
+                prng.random_range(-25.0..25.0),
+            );
+            let delta = prng.random_range(0.001..0.5);
+            let min_rounds = prng.random_range(1..100usize);
+            let cap = prng.random_range(1..=700usize);
+            let eps = prng.random_range(0.001..0.5);
+            let bound = adaptive_half_width_bound(mc.len(), delta, min_rounds, cap);
+            let a = mc.quantify_adaptive_capped(q, eps, delta, min_rounds, cap);
+            assert!(a.half_width <= bound.max(eps), "q={q:?} cap={cap}");
+            let full = mc.quantify_adaptive_capped(q, f64::MIN_POSITIVE, delta, min_rounds, cap);
+            assert_eq!(full.rounds_used, cap);
+            assert!(full.half_width <= bound, "q={q:?} cap={cap}");
         }
     }
 

@@ -18,7 +18,7 @@ use unn_dynamic::{EngineSnapshot, PointId};
 use unn_geom::Point;
 use unn_nonzero::DeltaCompose;
 use unn_observe::{Clock, ServeCounters};
-use unn_quantify::{adaptive_over_winners, MonteCarloIndex, ADAPTIVE_MIN_ROUNDS};
+use unn_quantify::{adaptive_half_width_bound, adaptive_over_winners, ADAPTIVE_MIN_ROUNDS};
 
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use crate::shard::{merge_winners, ranks_in, ExactView, ShardSetSnapshot};
@@ -152,10 +152,15 @@ impl Default for FeedbackConfig {
     }
 }
 
-/// Admission control: a per-batch work budget spent tier-by-tier. When a
-/// quantify request no longer fits the exact sweep it is *downgraded* —
-/// adaptive Monte-Carlo, then round-capped Monte-Carlo — and only shed
-/// when even the capped tier does not fit.
+/// Admission control: a per-batch work budget spent tier-by-tier. A
+/// quantify request starts at the cheapest tier that certifies
+/// [`DispatchConfig::epsilon`]: adaptive Monte-Carlo when its `s` rounds
+/// certify ε over the live set before the query runs (see
+/// [`unn_quantify::adaptive_half_width_bound`]) and cost fewer work units
+/// than the exact sweep, the exact sweep otherwise. When a request no
+/// longer fits its tier it is *downgraded* — adaptive Monte-Carlo, then
+/// round-capped Monte-Carlo — and only shed when even the capped tier does
+/// not fit.
 #[derive(Clone, Copy, Debug)]
 pub struct AdmissionConfig {
     /// Work units available per [`Dispatcher::serve`] batch
@@ -187,7 +192,8 @@ pub struct DispatchConfig {
     /// Worker threads for the batch fan-out (`None` = ambient pool).
     pub threads: Option<usize>,
     /// Per-query deadline in modeled nanoseconds (`u64::MAX` = none):
-    /// shard call time plus backoff, accumulated in shard order.
+    /// shard call time plus backoff, accumulated in shard order after the
+    /// time of an exact sweep that faulted.
     pub deadline_nanos: u64,
     /// Per shard call timeout (`u64::MAX` = none): a call reporting more
     /// elapsed nanoseconds counts as a failure.
@@ -198,7 +204,9 @@ pub struct DispatchConfig {
     pub breaker: BreakerConfig,
     /// Load-shedding ladder.
     pub admission: AdmissionConfig,
-    /// Adaptive-tier target additive error, in `(0, 1)`.
+    /// Adaptive-tier target additive error, in `(0, 1)`. Admission also
+    /// reads it: when `s` rounds certify it over the full live set, the
+    /// adaptive tier answers in place of a costlier exact sweep.
     pub epsilon: f64,
     /// Monte-Carlo failure probability, in `(0, 1)`.
     pub delta: f64,
@@ -339,11 +347,15 @@ pub struct Reply {
     pub total_live: usize,
     /// Retries spent on this request.
     pub retries: u64,
-    /// Modeled latency: shard call nanos plus backoff, serial in shard
-    /// order (real time under a real clock, 0 under `NullClock`).
+    /// Modeled latency: the exact sweep's clock time, or shard call nanos
+    /// plus backoff, serial in shard order (an exact sweep that faulted
+    /// stays charged before the Monte-Carlo fallback). Real time under a
+    /// real clock, 0 under `NullClock`.
     pub elapsed_nanos: u64,
-    /// True when the answer is below the no-fault tier or covers only a
-    /// subset of shards.
+    /// True when the answer is below the dispatcher's top tier or covers
+    /// only a subset of shards. With an exact view, the top tier is exact:
+    /// an adaptive answer stays flagged even when admission chose it
+    /// because it certifies ε; read `achieved_epsilon` for its accuracy.
     pub degraded: bool,
 }
 
@@ -524,12 +536,6 @@ impl Dispatcher {
         self.total_live
     }
 
-    /// The honest ε the Monte-Carlo tier certifies for a covered set of
-    /// `covered` points (Eq. 6 inverted at the configured δ).
-    pub fn mc_epsilon_for(&self, covered: usize, k_max: usize) -> f64 {
-        MonteCarloIndex::epsilon_for(self.s, self.cfg.delta, covered.max(1), k_max.max(1))
-    }
-
     /// Serves one batch. Replies are in request order; faults never escape
     /// (shard panics are caught and isolated), and every decision is
     /// deterministic at any thread count.
@@ -602,14 +608,29 @@ impl Dispatcher {
         bucket.tokens = bucket.tokens.saturating_add(earned).min(fb.bucket_capacity);
     }
 
-    /// Sequential admission pass: assigns each request the best tier the
-    /// remaining work capacity affords, and reports the work units spent.
-    /// Pure function of the request stream, batch-start breaker states, and
-    /// the feedback-bucket level — independent of execution order.
+    /// Sequential admission pass: assigns each request the cheapest tier
+    /// that certifies ε and that the remaining work capacity affords, and
+    /// reports the work units spent. Pure function of the request stream,
+    /// batch-start breaker states, the feedback-bucket level, and the
+    /// config, live count and round count — independent of execution order.
     fn admit(&self, requests: &[Request], excluded: &[bool]) -> (Vec<Plan>, u64) {
         let adm = &self.cfg.admission;
         let any_excluded = excluded.iter().any(|&e| e);
-        let exact_work = self.exact.as_ref().map(|v| v.work());
+        // Monte-Carlo certifies ε before any query runs when the largest
+        // half-width `s` rounds can end on is within it; the exact tier is
+        // then skipped whenever it costs more work units.
+        let mc_certified = self.total_live > 0
+            && adaptive_half_width_bound(
+                self.total_live,
+                self.cfg.delta,
+                self.cfg.adaptive_min_rounds,
+                self.s,
+            ) <= self.cfg.epsilon;
+        let exact_work = self
+            .exact
+            .as_ref()
+            .map(|v| v.work())
+            .filter(|&w| !(mc_certified && w > self.s as u64));
         let budget = match &self.bucket {
             Some(bucket) => adm.work_capacity.min(bucket.tokens),
             None => adm.work_capacity,
@@ -738,8 +759,11 @@ impl Dispatcher {
             Plan::Nn => self.run_nn(req.point(), excluded, log),
             Plan::Exact => {
                 let q = req.point();
+                let mut swept_nanos = 0;
                 if let Some(view) = &self.exact {
+                    let t0 = self.clock.now_nanos();
                     let swept = catch_unwind(AssertUnwindSafe(|| view.quantify(q)));
+                    swept_nanos = self.clock.now_nanos().saturating_sub(t0);
                     if let Ok(pi) = swept {
                         if pi.iter().all(|p| p.is_finite()) {
                             let reply = Reply {
@@ -749,7 +773,7 @@ impl Dispatcher {
                                 covered: self.total_live,
                                 total_live: self.total_live,
                                 retries: 0,
-                                elapsed_nanos: 0,
+                                elapsed_nanos: swept_nanos,
                                 degraded: false,
                             };
                             return (reply, log);
@@ -758,17 +782,18 @@ impl Dispatcher {
                 }
                 // Exact sweep faulted (panic or non-finite): fall down the
                 // ladder to adaptive Monte-Carlo, which never touches
-                // distribution cdf code.
+                // distribution cdf code. The failed sweep's time stays
+                // charged to the query.
                 log.exact_fault = true;
-                self.run_quantify(req.point(), self.s, true, excluded, log)
+                self.run_quantify(q, self.s, true, excluded, log, swept_nanos)
             }
             Plan::Adaptive => {
                 let downgraded = self.exact.is_some();
-                self.run_quantify(req.point(), self.s, downgraded, excluded, log)
+                self.run_quantify(req.point(), self.s, downgraded, excluded, log, 0)
             }
             Plan::Capped => {
                 let cap = self.cfg.admission.capped_rounds.min(self.s);
-                self.run_quantify(req.point(), cap, true, excluded, log)
+                self.run_quantify(req.point(), cap, true, excluded, log, 0)
             }
         }
     }
@@ -867,6 +892,8 @@ impl Dispatcher {
         (reply, log)
     }
 
+    /// The Monte-Carlo tiers: `cap` rounds over the covered shards, with
+    /// `elapsed` nanoseconds already spent on the query.
     fn run_quantify(
         &self,
         q: Point,
@@ -874,6 +901,7 @@ impl Dispatcher {
         downgraded: bool,
         excluded: &[bool],
         mut log: CallLog,
+        mut elapsed: u64,
     ) -> (Reply, CallLog) {
         if self.total_live == 0 {
             let reply = Reply {
@@ -883,12 +911,11 @@ impl Dispatcher {
                 covered: 0,
                 total_live: 0,
                 retries: 0,
-                elapsed_nanos: 0,
+                elapsed_nanos: elapsed,
                 degraded: false,
             };
             return (reply, log);
         }
-        let mut elapsed = 0u64;
         let mut acc: Vec<(f64, PointId)> = Vec::new();
         let mut covered_lists: Vec<&[PointId]> = Vec::new();
         let mut failed: Vec<usize> = Vec::new();

@@ -9,9 +9,11 @@
 //! * circuit breakers trip after the documented number of consecutive
 //!   failures, cool down on the injected clock, half-open, and recover;
 //! * shedding is honest: every shed reply names its reason, and degraded
-//!   answers carry the accuracy they actually certify.
+//!   answers carry the accuracy they actually certify;
+//! * admission starts at the cheapest tier that certifies ε, and every
+//!   tier reports the time it took through the injected clock.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use unn::geom::Point;
@@ -21,7 +23,7 @@ use unn::serve::{
     ShardPolicy, ShardSet, ShardSetSnapshot, ShedReason,
 };
 use unn::Uncertain;
-use unn_observe::{NullClock, VirtualClock};
+use unn_observe::{Clock, NullClock, VirtualClock};
 
 fn serve_config() -> ServeConfig {
     ServeConfig {
@@ -31,15 +33,51 @@ fn serve_config() -> ServeConfig {
 }
 
 fn build_set(n_shards: usize, n_points: usize) -> ShardSet {
-    let mut set = ShardSet::new(n_shards, ShardPolicy::Hash, serve_config())
-        .unwrap_or_else(|e| panic!("{e}"));
-    for i in 0..n_points {
-        set.insert(Uncertain::uniform_disk(
+    set_of(n_shards, serve_config(), grid_disks(n_points))
+}
+
+/// `n` disks on a grid, eight to a row.
+fn grid_disks(n: usize) -> impl Iterator<Item = Uncertain> {
+    (0..n).map(|i| {
+        Uncertain::uniform_disk(
             Point::new((i % 8) as f64 * 2.2, (i / 8) as f64 * 2.2),
             0.35 + 0.04 * (i % 4) as f64,
-        ));
+        )
+    })
+}
+
+fn set_of(
+    n_shards: usize,
+    cfg: ServeConfig,
+    points: impl IntoIterator<Item = Uncertain>,
+) -> ShardSet {
+    let mut set = ShardSet::new(n_shards, ShardPolicy::Hash, cfg).unwrap_or_else(|e| panic!("{e}"));
+    for p in points {
+        set.insert(p);
     }
     set
+}
+
+/// A clock that advances a fixed step on every read, so every timed
+/// interval with no read inside it measures exactly one step.
+struct StepClock {
+    now: AtomicU64,
+    step: u64,
+}
+
+impl StepClock {
+    fn new(step: u64) -> Self {
+        Self {
+            now: AtomicU64::new(0),
+            step,
+        }
+    }
+}
+
+impl Clock for StepClock {
+    fn now_nanos(&self) -> u64 {
+        self.now.fetch_add(self.step, Ordering::Relaxed) + self.step
+    }
 }
 
 fn requests() -> Vec<Request> {
@@ -309,6 +347,119 @@ fn shedding_is_honest_and_tiered() {
     assert_eq!(m.shed, 2);
     assert_eq!(m.shed_capacity, 1);
     assert_eq!(m.shed_invalid, 1);
+}
+
+/// 4096 rounds over `build_set`'s 20 points certify a half-width of
+/// 0.0368 at δ = 0.01 before any query runs.
+fn certified_config() -> ServeConfig {
+    ServeConfig {
+        mc_rounds: 4096,
+        ..ServeConfig::default()
+    }
+}
+
+#[test]
+fn certified_monte_carlo_answers_before_a_costlier_exact_sweep() {
+    let set = set_of(2, certified_config(), grid_disks(20));
+    let snap = set.snapshot();
+    assert!(snap.exact_view().work() > snap.mc_rounds() as u64);
+    let reqs = requests();
+    let mut runs = Vec::new();
+    for threads in [Some(1), Some(2), Some(8)] {
+        let cfg = DispatchConfig {
+            threads,
+            ..DispatchConfig::default()
+        };
+        let mut d = Dispatcher::for_snapshot(&snap, cfg, Arc::new(NullClock))
+            .unwrap_or_else(|e| panic!("{e}"));
+        let replies = d.serve(&reqs);
+        for (req, reply) in reqs.iter().zip(&replies) {
+            if let Request::NnNonzero(_) = req {
+                continue;
+            }
+            match &reply.outcome {
+                Outcome::Adaptive {
+                    achieved_epsilon, ..
+                } => assert!(*achieved_epsilon <= 0.05, "certified {achieved_epsilon}"),
+                other => panic!("expected Adaptive, got {other:?}"),
+            }
+            // Below the exact view's tier, so still flagged; full coverage.
+            assert!(reply.degraded);
+            assert!(!reply.partial());
+        }
+        let counters = d.metrics().deterministic();
+        assert_eq!(counters.answered_exact, 0);
+        assert_eq!(counters.answered_adaptive, 12);
+        runs.push((replies, counters));
+    }
+    assert_eq!(runs[0], runs[1]);
+    assert_eq!(runs[0], runs[2]);
+
+    // An ε the rounds cannot certify keeps the exact tier first.
+    let cfg = DispatchConfig {
+        threads: Some(1),
+        epsilon: 0.03,
+        ..DispatchConfig::default()
+    };
+    let mut d =
+        Dispatcher::for_snapshot(&snap, cfg, Arc::new(NullClock)).unwrap_or_else(|e| panic!("{e}"));
+    let replies = d.serve(&[Request::Quantify(Point::new(2.0, 2.0))]);
+    assert!(matches!(replies[0].outcome, Outcome::Exact { .. }));
+    assert!(!replies[0].degraded);
+
+    // So does an exact sweep cheaper than the rounds: 20 three-location
+    // discrete points cost 60 touches against 4096 rounds.
+    let set = set_of(
+        2,
+        certified_config(),
+        unn_testkit::corpus::uniform_discrete(20, 3, 7),
+    );
+    let snap = set.snapshot();
+    assert!(snap.exact_view().work() <= snap.mc_rounds() as u64);
+    let mut d = Dispatcher::for_snapshot(&snap, DispatchConfig::default(), Arc::new(NullClock))
+        .unwrap_or_else(|e| panic!("{e}"));
+    let replies = d.serve(&reqs);
+    for (req, reply) in reqs.iter().zip(&replies) {
+        if let Request::Quantify(_) = req {
+            assert!(matches!(reply.outcome, Outcome::Exact { .. }));
+        }
+    }
+    assert_eq!(d.metrics().answered_exact, 12);
+}
+
+#[test]
+fn exact_tier_time_is_recorded_through_the_clock() {
+    // 3 ms, so the microsecond latency histogram records it exactly.
+    const STEP: u64 = 3_000_000;
+    let set = build_set(2, 20);
+    let snap = set.snapshot();
+    let cfg = DispatchConfig {
+        threads: Some(1),
+        ..DispatchConfig::default()
+    };
+    let mut d = Dispatcher::for_snapshot(&snap, cfg, Arc::new(StepClock::new(STEP)))
+        .unwrap_or_else(|e| panic!("{e}"));
+    let replies = d.serve(&[Request::Quantify(Point::new(2.0, 2.0))]);
+    assert!(matches!(replies[0].outcome, Outcome::Exact { .. }));
+    assert_eq!(replies[0].elapsed_nanos, STEP);
+    let latency = &d.metrics().query_latency;
+    assert_eq!((latency.count, latency.sum), (1, u128::from(STEP / 1_000)));
+
+    // A faulting sweep stays charged to the Monte-Carlo fallback: the
+    // numeric sweep rejects a one-step grid by panicking, then each of
+    // the two shards' round-winner calls takes one more step.
+    let cfg_one_step = ServeConfig {
+        numeric_steps: 1,
+        ..serve_config()
+    };
+    let set = set_of(2, cfg_one_step, grid_disks(20));
+    let snap = set.snapshot();
+    let mut d = Dispatcher::for_snapshot(&snap, cfg, Arc::new(StepClock::new(STEP)))
+        .unwrap_or_else(|e| panic!("{e}"));
+    let replies = d.serve(&[Request::Quantify(Point::new(2.0, 2.0))]);
+    assert!(matches!(replies[0].outcome, Outcome::Adaptive { .. }));
+    assert_eq!(d.metrics().exact_faults, 1);
+    assert_eq!(replies[0].elapsed_nanos, 3 * STEP);
 }
 
 #[test]
