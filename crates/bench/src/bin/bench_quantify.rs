@@ -9,10 +9,9 @@
 //!
 //! * `arena_pruned`    — arena forest, Δ(q)-seeded descents (the default,
 //!   batched SoA kernels);
-//! * `arena_scalar`    — the same query routed through the retained scalar
-//!   kernels (the differential oracle): `pruned/scalar` is the kernel
-//!   speedup;
-//! * `arena_unpruned`  — arena forest, `f64::INFINITY` seed;
+//! * `arena_unpruned`  — arena forest, `f64::INFINITY` seed (one descent
+//!   per round); its `π̂` must equal the pruned path's bit for bit on every
+//!   bench query;
 //! * `perround_trees`  — legacy layout: one kd-tree allocation per round;
 //! * `adaptive`        — early-stopped estimate at (ε = 0.05, δ = 0.01),
 //!   with the mean fraction of the `s` budget it consumed.
@@ -24,9 +23,6 @@
 //! * `leaf_sweep` — global-ball fold latency by leaf size at `n = 4096`;
 //! * `bf_crossover` — flat batched scan vs default tree descent on small
 //!   inputs.
-//!
-//! The run **fails** (nonzero exit) if the batched fast path regresses
-//! against the scalar oracle at `n = 4096` — the in-bench kernel gate.
 
 use std::time::Instant;
 
@@ -59,7 +55,6 @@ fn median_ns_per_query(queries: &[Point], mut f: impl FnMut(Point)) -> f64 {
 struct SizeResult {
     n: usize,
     arena_pruned: f64,
-    arena_scalar: f64,
     arena_unpruned: f64,
     perround_trees: f64,
     adaptive: f64,
@@ -86,28 +81,24 @@ fn run_size(n: usize) -> SizeResult {
         mc.query_into(q, &mut buf);
         std::hint::black_box(buf.len());
     });
-    // Differential check rides along with the timing: the scalar oracle
-    // must reproduce the batched path bit for bit on every bench query.
-    let mut scalar_buf = Vec::new();
-    for &q in &queries {
-        mc.query_into(q, &mut buf);
-        mc.query_into_scalar(q, &mut scalar_buf);
-        assert!(
-            buf.iter()
-                .zip(&scalar_buf)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-                && buf.len() == scalar_buf.len(),
-            "scalar oracle diverged from batched path at n={n}, q={q:?}"
-        );
-    }
-    let arena_scalar = median_ns_per_query(&queries, |q| {
-        mc.query_into_scalar(q, &mut buf);
-        std::hint::black_box(buf.len());
-    });
     let arena_unpruned = median_ns_per_query(&queries, |q| {
         mc.query_into_seeded(q, f64::INFINITY, &mut buf);
         std::hint::black_box(buf.len());
     });
+    // Differential check rides along with the timing: Δ(q) pruning must
+    // not change the estimate on any bench query.
+    let mut unpruned_buf = Vec::new();
+    for &q in &queries {
+        mc.query_into(q, &mut buf);
+        mc.query_into_seeded(q, f64::INFINITY, &mut unpruned_buf);
+        assert!(
+            buf.iter()
+                .zip(&unpruned_buf)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+                && buf.len() == unpruned_buf.len(),
+            "pruned estimate diverged from the unpruned one at n={n}, q={q:?}"
+        );
+    }
     let perround_trees = median_ns_per_query(&queries, |q| {
         buf.clear();
         buf.resize(n, 0.0);
@@ -130,7 +121,6 @@ fn run_size(n: usize) -> SizeResult {
     SizeResult {
         n,
         arena_pruned,
-        arena_scalar,
         arena_unpruned,
         perround_trees,
         adaptive,
@@ -258,34 +248,28 @@ fn main() {
     let results: Vec<SizeResult> = [64usize, 512, 4096].iter().map(|&n| run_size(n)).collect();
     for (i, r) in results.iter().enumerate() {
         println!(
-            "n={:5}  arena_pruned={:.0}ns  arena_scalar={:.0}ns  arena_unpruned={:.0}ns  \
+            "n={:5}  arena_pruned={:.0}ns  arena_unpruned={:.0}ns  \
              perround_trees={:.0}ns  adaptive={:.0}ns (rounds {:.1}% of s)  \
-             speedup(perround/pruned)={:.2}x  kernel(scalar/pruned)={:.2}x",
+             speedup(perround/pruned)={:.2}x",
             r.n,
             r.arena_pruned,
-            r.arena_scalar,
             r.arena_unpruned,
             r.perround_trees,
             r.adaptive,
             100.0 * r.adaptive_rounds_frac,
             r.perround_trees / r.arena_pruned,
-            r.arena_scalar / r.arena_pruned
         );
         out.push_str(&format!(
-            "    {{ \"n\": {}, \"arena_pruned\": {:.1}, \"arena_scalar\": {:.1}, \
-             \"arena_unpruned\": {:.1}, \
+            "    {{ \"n\": {}, \"arena_pruned\": {:.1}, \"arena_unpruned\": {:.1}, \
              \"perround_trees\": {:.1}, \"adaptive\": {:.1}, \
-             \"adaptive_rounds_frac\": {:.4}, \"speedup_perround_over_pruned\": {:.3}, \
-             \"speedup_scalar_over_pruned\": {:.3} }}{}\n",
+             \"adaptive_rounds_frac\": {:.4}, \"speedup_perround_over_pruned\": {:.3} }}{}\n",
             r.n,
             r.arena_pruned,
-            r.arena_scalar,
             r.arena_unpruned,
             r.perround_trees,
             r.adaptive,
             r.adaptive_rounds_frac,
             r.perround_trees / r.arena_pruned,
-            r.arena_scalar / r.arena_pruned,
             if i + 1 == results.len() { "" } else { "," }
         ));
     }
@@ -333,20 +317,4 @@ fn main() {
     ));
     std::fs::write("BENCH_quantify.json", &out).expect("write BENCH_quantify.json");
     println!("wrote BENCH_quantify.json");
-
-    // In-bench kernel acceptance gate: the batched fast path must not
-    // regress against the retained scalar oracle on the headline size.
-    let head = results.last().expect("sizes nonempty");
-    let kernel_speedup = head.arena_scalar / head.arena_pruned;
-    println!(
-        "kernel gate (n={}): batched {:.0}ns vs scalar {:.0}ns ({kernel_speedup:.2}x)",
-        head.n, head.arena_pruned, head.arena_scalar
-    );
-    assert!(
-        kernel_speedup >= 0.95,
-        "batched kernels regressed versus the scalar oracle at n={}: {:.0}ns vs {:.0}ns",
-        head.n,
-        head.arena_pruned,
-        head.arena_scalar
-    );
 }

@@ -427,20 +427,6 @@ impl DynamicSnapshot {
         self.inner.core.nn_nonzero(q)
     }
 
-    /// [`DynamicSnapshot::nn_nonzero`] through the unpruned linear fold —
-    /// same floats, no shared-bound pruning. Kept as the differential
-    /// oracle for the pruning test suites; prefer `nn_nonzero`.
-    pub fn nn_nonzero_unpruned(&self, q: Point) -> Vec<PointId> {
-        self.inner.core.nn_nonzero_unpruned(q)
-    }
-
-    /// [`DynamicSnapshot::quantify`]'s probability vector through the
-    /// unpruned per-round winner fold — the differential oracle matching
-    /// [`DynamicSnapshot::nn_nonzero_unpruned`].
-    pub fn quantify_unpruned(&self, q: Point) -> Vec<f64> {
-        self.inner.core.quantify_unpruned(q)
-    }
-
     /// Number of blocks backing this view (compaction-policy diagnostics).
     pub fn blocks(&self) -> usize {
         self.inner.core.blocks()

@@ -37,7 +37,7 @@ pub struct PnnConfig {
     /// Upper bound on Monte-Carlo rounds (the theorem-driven count can be
     /// enormous for tiny ε; production deployments cap it).
     pub max_mc_rounds: usize,
-    /// Grid resolution for exact-by-integration on continuous models.
+    /// Grid resolution for exact-by-integration on continuous models (≥ 2).
     pub numeric_steps: usize,
     /// First checkpoint of the adaptive stopping rule
     /// ([`PnnIndex::quantify_adaptive`]); later checkpoints double up to
@@ -63,7 +63,8 @@ impl PnnConfig {
     /// [`PnnIndex::try_build`] runs before construction. `epsilon` and
     /// `delta` must lie in `(0, 1)` (the spiral truncation and the
     /// Monte-Carlo round count `m_for`/Eq. 6 are undefined outside it);
-    /// the round and step counts must be at least 1.
+    /// the round counts must be at least 1 and `numeric_steps` at least 2
+    /// (the numeric integrator's grid needs two nodes).
     pub fn validate(&self) -> Result<(), crate::resilience::UnnError> {
         use crate::resilience::UnnError;
         let bad = |reason: String| Err(UnnError::InvalidConfig { reason });
@@ -76,8 +77,11 @@ impl PnnConfig {
         if self.max_mc_rounds == 0 {
             return bad("max_mc_rounds must be at least 1".into());
         }
-        if self.numeric_steps == 0 {
-            return bad("numeric_steps must be at least 1".into());
+        if self.numeric_steps < 2 {
+            return bad(format!(
+                "numeric_steps must be at least 2, got {}",
+                self.numeric_steps
+            ));
         }
         if self.adaptive_min_rounds == 0 {
             return bad("adaptive_min_rounds must be at least 1".into());

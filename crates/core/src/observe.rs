@@ -86,14 +86,10 @@ fn fill_outcome(res: &Result<QuantifyOutcome, UnnError>, s: u64, stats: &mut Que
             stats.rounds_used = *rounds_used as u64;
             stats.rounds_total = s;
             stats.achieved_epsilon = *achieved_epsilon;
-            unn_observe::trace_event!(
-                "degraded: rounds_used={rounds_used} achieved_epsilon={achieved_epsilon:.4}"
-            );
         }
         Err(e) => {
             stats.outcome = QueryOutcome::Errored;
             stats.error_label = Some(error_label(e));
-            unn_observe::trace_event!("error: {e}");
         }
     }
 }
@@ -107,7 +103,6 @@ fn fill_isolated<T>(res: &BatchOutcome<T>, stats: &mut QueryStats) {
         Err(e) => {
             stats.outcome = QueryOutcome::Errored;
             stats.error_label = Some(error_label(e));
-            unn_observe::trace_event!("isolated error: {e}");
         }
     }
 }

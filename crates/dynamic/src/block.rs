@@ -30,7 +30,7 @@ pub struct BlockCore {
     pub(crate) support: Vec<Aabb>,
     /// Kd-tree over support-box centers, with asymmetric aux bounds:
     /// `lo[j] = min_halfwidth(support[j])` (valid lower offset for the box
-    /// `max_dist` family minimized by `prune_radius`) and `hi[j] =
+    /// `max_dist` family minimized by `prune_radius_from`) and `hi[j] =
     /// circumradius(support[j])` (valid upper offset for the distribution
     /// `min_dist` family reported by `report_nonzero`). The stage-1
     /// `fold_delta_capped` walk prunes on the raw center distance alone —
@@ -116,15 +116,10 @@ impl BlockCore {
         self.ids.binary_search(&id).ok()
     }
 
-    /// Per-block pruning radius `Δ_b(q) = min_{live j} support[j].max_dist(q)`,
-    /// or `+∞` if every slot is tombstoned.
-    pub fn prune_radius(&self, q: Point, alive: &[bool]) -> f64 {
-        self.prune_radius_from(q, alive, f64::INFINITY)
-    }
-
-    /// [`BlockCore::prune_radius`] seeded with an incumbent from other
-    /// blocks: returns `min(init, Δ_b(q))` exactly, but prunes the descent
-    /// against the incumbent from the first node. Threading the result
+    /// `min(init, Δ_b(q))`, where `Δ_b(q) = min_{live j}
+    /// support[j].max_dist(q)` is the per-block pruning radius (`+∞` if
+    /// every slot is tombstoned) and `init`, an incumbent from other
+    /// blocks, prunes the descent from the first node. Threading the result
     /// block-to-block computes the same global `min_b Δ_b(q)` as
     /// independent per-block minima folded by `min`.
     pub fn prune_radius_from(&self, q: Point, alive: &[bool], init: f64) -> f64 {
@@ -148,7 +143,7 @@ impl BlockCore {
         self.delta_tree.root_min_dist(q)
     }
 
-    /// Lower bound on this block's [`BlockCore::prune_radius`] (root box
+    /// Lower bound on this block's pruning radius `Δ_b(q)` (root box
     /// distance plus the minimum half-width offset); `+∞` for a block with
     /// no slots.
     pub fn prune_radius_bound(&self, q: Point) -> f64 {
@@ -294,10 +289,11 @@ mod tests {
             2,
         );
         let q = Point::new(0.0, 0.0);
-        let all_alive = b.prune_radius(q, &[true, true]);
+        let radius = |alive: &[bool]| b.prune_radius_from(q, alive, f64::INFINITY);
+        let all_alive = radius(&[true, true]);
         assert!(all_alive <= 0.5, "near disk should dominate: {all_alive}");
-        let near_dead = b.prune_radius(q, &[false, true]);
+        let near_dead = radius(&[false, true]);
         assert!(near_dead >= 99.0, "must fall back to far disk: {near_dead}");
-        assert!(b.prune_radius(q, &[false, false]).is_infinite());
+        assert!(radius(&[false, false]).is_infinite());
     }
 }

@@ -5,7 +5,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use unn_distr::{Uncertain, UncertainPoint};
+use unn_distr::Uncertain;
 use unn_geom::Point;
 use unn_nonzero::DeltaCompose;
 
@@ -585,9 +585,9 @@ impl EngineSnapshot {
     /// per-block kd descent, skipping whole blocks — without probing them —
     /// once the cap undercuts their bound; stage 2 reports through each
     /// block's center tree under the same cap. Both stages fold the same
-    /// floats through the same strict comparisons as the flat scan, so the
-    /// answer is bit-identical to [`EngineSnapshot::nn_nonzero_unpruned`]
-    /// and to the static index on the same live set.
+    /// floats through the same strict comparisons as a flat Lemma 2.1 scan
+    /// over the live set, so the answer is bit-identical to that scan and
+    /// to the static index on the same live set.
     pub fn nn_nonzero(&self, q: Point) -> Vec<PointId> {
         self.reads.fetch_add(1, Ordering::Relaxed);
         let fold = self.fold_delta(q);
@@ -649,36 +649,6 @@ impl EngineSnapshot {
         fold
     }
 
-    /// The pre-pruning reference composition: unconditional per-block
-    /// linear scans, exactly the shape the shared-bound path must reproduce
-    /// bit-for-bit. Kept as the differential oracle for the pruning test
-    /// suites (and their observe-counter regression checks); it probes
-    /// every block, so production reads should use
-    /// [`EngineSnapshot::nn_nonzero`].
-    pub fn nn_nonzero_unpruned(&self, q: Point) -> Vec<PointId> {
-        let mut fold = DeltaCompose::new();
-        for (core, alive) in &self.slots {
-            unn_observe::dyn_block_probed();
-            for j in 0..core.len() {
-                if alive[j] {
-                    fold.observe(core.points[j].max_dist(q), core.ids[j]);
-                } else {
-                    unn_observe::dyn_tombstone_filtered();
-                }
-            }
-        }
-        let mut out = Vec::new();
-        for (core, alive) in &self.slots {
-            for j in 0..core.len() {
-                if alive[j] && core.points[j].min_dist(q) < fold.cap_for(core.ids[j]) {
-                    out.push(core.ids[j]);
-                }
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
     /// Per-round Monte-Carlo winners `(distance, id)` for `q`.
     ///
     /// The global pruning radius is the min over per-block Δ_b(q); each
@@ -691,32 +661,11 @@ impl EngineSnapshot {
     /// independent of block layout and traversal order.
     pub fn round_winners(&self, q: Point) -> Vec<(f64, PointId)> {
         self.reads.fetch_add(1, Ordering::Relaxed);
-        self.round_winners_seeded(q, true)
-    }
-
-    /// The pre-pruning reference: per-block Δ minima folded independently
-    /// and every block's ball probed unconditionally. Bit-identical output
-    /// to [`EngineSnapshot::round_winners`]; kept as the differential
-    /// oracle for the pruning suites.
-    pub fn round_winners_unpruned(&self, q: Point) -> Vec<(f64, PointId)> {
-        self.round_winners_seeded(q, false)
-    }
-
-    fn round_winners_seeded(&self, q: Point, pruned: bool) -> Vec<(f64, PointId)> {
         if self.live_ids.is_empty() {
             return Vec::new();
         }
         let s = self.s;
-        let delta = if pruned {
-            self.shared_delta(q)
-        } else {
-            let mut delta = f64::INFINITY;
-            for (core, alive) in &self.slots {
-                delta = delta.min(core.prune_radius(q, alive));
-            }
-            delta
-        };
-        let seed = delta * (1.0 + 1e-12);
+        let seed = self.shared_delta(q) * (1.0 + 1e-12);
         unn_observe::seed_radius(seed);
         let mut best: Vec<(f64, PointId)> = vec![(f64::INFINITY, PointId::MAX); s];
         for (core, alive) in &self.slots {
@@ -724,7 +673,7 @@ impl EngineSnapshot {
             // contributes nothing — the ball traversal's root test would
             // prune it immediately. Skipping it (without counting a probe)
             // cannot change any round's fold.
-            if pruned && core.ball_bound(q) > seed {
+            if core.ball_bound(q) > seed {
                 continue;
             }
             unn_observe::dyn_block_probed();
@@ -835,17 +784,6 @@ impl EngineSnapshot {
             return Vec::new();
         }
         let ranks = self.winner_ranks(q);
-        self.pi_from_ranks(&ranks)
-    }
-
-    /// [`EngineSnapshot::quantify`] through the unpruned winner fold —
-    /// bit-identical output, kept as the differential oracle for the
-    /// pruning suites.
-    pub fn quantify_unpruned(&self, q: Point) -> Vec<f64> {
-        if self.live_ids.is_empty() {
-            return Vec::new();
-        }
-        let ranks = self.ranks_of(self.round_winners_unpruned(q));
         self.pi_from_ranks(&ranks)
     }
 

@@ -131,26 +131,6 @@ impl DiskNonzeroIndex {
         out.sort_unstable();
     }
 
-    /// Scalar-oracle twin of [`DiskNonzeroIndex::query_into`]: both stages
-    /// routed through the retained scalar kernels. The equivalence suite
-    /// diffs it against the batched path; results must match exactly.
-    #[doc(hidden)]
-    pub fn query_into_scalar(&self, q: Point, out: &mut Vec<usize>) {
-        out.clear();
-        let Some((best, d1, d2)) = self.tree.min_two_adjusted_weighted_scalar(q) else {
-            return;
-        };
-        self.tree
-            .report_ball_below_scalar(q, d1.max(d2), &mut |i, v| {
-                unn_observe::nonzero_candidate();
-                let threshold = if i == best { d2 } else { d1 };
-                if v < threshold {
-                    out.push(i);
-                }
-            });
-        out.sort_unstable();
-    }
-
     /// Reference implementation: linear scan (the baseline of experiment E7).
     pub fn query_naive(&self, q: Point) -> Vec<usize> {
         let caps: Vec<f64> = self.disks.iter().map(|d| d.max_dist(q)).collect();

@@ -77,7 +77,7 @@ pub struct CounterSet {
     pub kd_nodes_visited: u64,
     /// Kd-tree subtrees cut by the branch-and-bound test.
     pub kd_nodes_pruned: u64,
-    /// Points reported by `in_disk`/`in_disk_capped` ball traversals (the
+    /// Points reported by `in_disk_capped` ball traversals (the
     /// Monte-Carlo global-ball fold).
     pub ball_points_visited: u64,
     /// Round-forest nodes expanded (per-round descents).
@@ -110,8 +110,8 @@ pub struct CounterSet {
     /// Hot-block promotions: read-heavy merge-to-one rebuilds triggered by
     /// the read/update ratio heuristic (update-side counter).
     pub dyn_promotions: u64,
-    /// Leaf points fed through the SoA scan kernels (batched or scalar) by
-    /// this query's tree/forest traversals.
+    /// Leaf points fed through the SoA scan kernels by this query's
+    /// tree/forest traversals.
     pub leaf_points_scanned: u64,
     /// Full-width lane batches executed by the SoA scan kernels
     /// (`leaf_points_scanned / LANES`, rounded down per leaf).
@@ -484,22 +484,6 @@ pub fn net_counters_reset() {
 #[cfg(not(feature = "enabled"))]
 #[inline(always)]
 pub fn net_counters_reset() {}
-
-// ---------------------------------------------------------------------------
-// Optional trace events (feature `trace`, off by default)
-// ---------------------------------------------------------------------------
-
-/// Emits one human-readable event line on stderr (feature `trace` only;
-/// compiled out — including the formatting of its arguments — otherwise).
-#[macro_export]
-macro_rules! trace_event {
-    ($($arg:tt)*) => {
-        #[cfg(feature = "trace")]
-        {
-            eprintln!("[unn::observe] {}", format_args!($($arg)*));
-        }
-    };
-}
 
 // ---------------------------------------------------------------------------
 // Per-query stats and clocks

@@ -194,16 +194,6 @@ impl MonteCarloIndex {
             .map_or(f64::INFINITY, |(_, v)| v)
     }
 
-    /// Scalar-oracle twin of [`MonteCarloIndex::prune_radius`]: identical
-    /// traversal with per-point box evaluations instead of gathered lane
-    /// batches. Bit-identical by the kernel contract (DESIGN.md §8).
-    #[doc(hidden)]
-    pub fn prune_radius_scalar(&self, q: Point) -> f64 {
-        self.delta_tree
-            .min_adjusted_boxes_scalar(q, &self.support)
-            .map_or(f64::INFINITY, |(_, v)| v)
-    }
-
     /// The winner of one round: nearest instantiation index to `q`, with
     /// the descent seeded by `init_best` (an upper bound on the NN
     /// distance; `f64::INFINITY` disables pruning).
@@ -268,21 +258,9 @@ impl MonteCarloIndex {
         if let (McStorage::Forest(f), Some(g)) = (&self.storage, self.global.as_ref()) {
             if init_best.is_finite() {
                 let mut best: Vec<(f64, u32)> = vec![(f64::INFINITY, u32::MAX); self.s];
-                let n = self.n;
-                // Magic-multiply `pos -> (round, obj)` split: a hardware
-                // division per reported ball point is the fold's single
-                // biggest cost. Exact for all `pos < 2^32` (Granlund-
-                // Montgomery/Lemire), which `s·n` never exceeds; the
-                // scalar twin keeps plain `/`/`%` so the equivalence suite
-                // cross-checks this arithmetic.
-                let magic = if n > 1 { u64::MAX / n as u64 + 1 } else { 0 };
+                let split = RoundSplit::new(self.n);
                 let complete = g.in_disk_capped(q, init_best, 32 * self.s, &mut |pos, d| {
-                    let (r, obj) = if n == 1 {
-                        (pos, 0u32)
-                    } else {
-                        let r = ((pos as u128 * magic as u128) >> 64) as usize;
-                        (r, (pos - r * n) as u32)
-                    };
+                    let (r, obj) = split.split(pos);
                     let e = &mut best[r];
                     if d < e.0 || (d == e.0 && obj < e.1) {
                         *e = (d, obj);
@@ -316,59 +294,6 @@ impl MonteCarloIndex {
         winners.extend((0..self.s).map(|r| self.round_winner(r, q, init_best) as u32));
     }
 
-    /// Scalar-oracle twin of [`MonteCarloIndex::winners_into`]: the same
-    /// control flow routed through the retained scalar kernels
-    /// (`in_disk_capped_scalar`, `nearest_within_scalar`).
-    fn winners_into_scalar(&self, q: Point, init_best: f64, winners: &mut Vec<u32>) {
-        winners.clear();
-        if let (McStorage::Forest(f), Some(g)) = (&self.storage, self.global.as_ref()) {
-            if init_best.is_finite() {
-                let mut best: Vec<(f64, u32)> = vec![(f64::INFINITY, u32::MAX); self.s];
-                let n = self.n;
-                let complete = g.in_disk_capped_scalar(q, init_best, 32 * self.s, &mut |pos, d| {
-                    let e = &mut best[pos / n];
-                    let obj = (pos % n) as u32;
-                    if d < e.0 || (d == e.0 && obj < e.1) {
-                        *e = (d, obj);
-                    }
-                });
-                if complete {
-                    winners.extend(best.iter().enumerate().map(|(r, &(_, obj))| {
-                        if obj != u32::MAX {
-                            unn_observe::mc_ball_round();
-                            obj
-                        } else {
-                            unn_observe::mc_descent_round();
-                            match f.nearest_within_scalar(r, q, f64::INFINITY) {
-                                Some(nb) => nb.id as u32,
-                                None => {
-                                    debug_assert!(false, "round {r} empty despite n > 0");
-                                    0
-                                }
-                            }
-                        }
-                    }));
-                    return;
-                }
-            }
-            winners.extend((0..self.s).map(|r| {
-                unn_observe::mc_descent_round();
-                match f
-                    .nearest_within_scalar(r, q, init_best)
-                    .or_else(|| f.nearest_within_scalar(r, q, f64::INFINITY))
-                {
-                    Some(nb) => nb.id as u32,
-                    None => {
-                        debug_assert!(false, "round {r} empty despite n > 0");
-                        0
-                    }
-                }
-            }));
-            return;
-        }
-        winners.extend((0..self.s).map(|r| self.round_winner(r, q, init_best) as u32));
-    }
-
     /// Estimates `π̂_i(q)` for all `i`; at most `s` entries are nonzero.
     ///
     /// Returns a dense vector (callers wanting sparse output use
@@ -390,32 +315,6 @@ impl MonteCarloIndex {
             return;
         }
         self.query_into_seeded(q, self.seed_for(q), pi);
-    }
-
-    /// Scalar-oracle twin of [`MonteCarloIndex::query_into`]: the entire
-    /// query — `Δ(q)` seed, global-ball fold, descent fallbacks — routed
-    /// through the retained scalar kernels. The equivalence suite and the
-    /// `arena_scalar` bench variant diff it against the batched path;
-    /// results must match bit for bit (DESIGN.md §8).
-    #[doc(hidden)]
-    pub fn query_into_scalar(&self, q: Point, pi: &mut Vec<f64>) {
-        if self.n == 0 {
-            pi.clear();
-            return;
-        }
-        let seed = self.prune_radius_scalar(q) * (1.0 + 1e-12);
-        unn_observe::seed_radius(seed);
-        pi.clear();
-        pi.resize(self.n, 0.0);
-        let mut winners = Vec::with_capacity(self.s);
-        self.winners_into_scalar(q, seed, &mut winners);
-        for &wn in &winners {
-            pi[wn as usize] += 1.0;
-        }
-        let w = 1.0 / self.s as f64;
-        for x in pi.iter_mut() {
-            *x *= w;
-        }
     }
 
     /// [`MonteCarloIndex::query_into`] with a caller-supplied seed radius
@@ -658,6 +557,35 @@ impl MonteCarloIndex {
         assert!(eps > 0.0 && eps < 1.0 && delta > 0.0 && delta < 1.0);
         let s = (1.0 / (2.0 * eps * eps)) * (2.0 * n.max(1) as f64 * m.max(1) as f64 / delta).ln();
         s.ceil().max(1.0) as usize
+    }
+}
+
+/// The `pos -> (round, object)` split of the global instantiation tree,
+/// where location `pos = round·n + object`. A hardware division per
+/// reported ball point is the fold's single biggest cost, so the split
+/// multiplies by a precomputed reciprocal instead (Granlund–Montgomery /
+/// Lemire): exact for every `pos < 2^32`, which `s·n` never exceeds.
+#[derive(Clone, Copy, Debug)]
+struct RoundSplit {
+    n: usize,
+    magic: u64,
+}
+
+impl RoundSplit {
+    fn new(n: usize) -> Self {
+        let magic = if n > 1 { u64::MAX / n as u64 + 1 } else { 0 };
+        RoundSplit { n, magic }
+    }
+
+    /// `(pos / n, pos % n)`.
+    #[inline]
+    fn split(self, pos: usize) -> (usize, u32) {
+        if self.n == 1 {
+            (pos, 0)
+        } else {
+            let r = ((pos as u128 * self.magic as u128) >> 64) as usize;
+            (r, (pos - r * self.n) as u32)
+        }
     }
 }
 
@@ -945,7 +873,22 @@ mod tests {
     }
 
     #[test]
-    fn pruned_query_matches_unpruned() {
+    fn round_split_matches_division() {
+        for n in 1usize..=300 {
+            let split = RoundSplit::new(n);
+            let near_max = (u32::MAX as usize - 3 * n)..=(u32::MAX as usize);
+            for pos in (0..70 * n).chain(near_max) {
+                assert_eq!(
+                    split.split(pos),
+                    (pos / n, (pos % n) as u32),
+                    "n {n} pos {pos}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pruned_query_matches_unseeded() {
         // The Δ(q)-seeded fast path must be bit-identical to the unseeded
         // branch-and-bound — pruning only skips subtrees that cannot win.
         let points = random_discrete(40, 3, 160);

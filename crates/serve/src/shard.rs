@@ -68,7 +68,7 @@ pub struct ServeConfig {
     pub epsilon: f64,
     /// Failure probability for Monte-Carlo guarantees, in `(0, 1)`.
     pub delta: f64,
-    /// Grid resolution for exact-by-integration on continuous models (≥ 1).
+    /// Grid resolution for exact-by-integration on continuous models (≥ 2).
     pub numeric_steps: usize,
     /// First checkpoint of the adaptive stopping rule (≥ 1).
     pub adaptive_min_rounds: usize,
@@ -109,8 +109,11 @@ impl ServeConfig {
         if !(self.delta > 0.0 && self.delta < 1.0) {
             return bad(format!("delta must be in (0, 1), got {}", self.delta));
         }
-        if self.numeric_steps == 0 {
-            return bad("numeric_steps must be >= 1".into());
+        if self.numeric_steps < 2 {
+            return bad(format!(
+                "numeric_steps must be >= 2, got {}",
+                self.numeric_steps
+            ));
         }
         if self.adaptive_min_rounds == 0 {
             return bad("adaptive_min_rounds must be >= 1".into());
@@ -674,6 +677,35 @@ mod tests {
             (total - 1.0).abs() < 1e-9,
             "exact pi sums to 1, got {total}"
         );
+    }
+
+    #[test]
+    fn out_of_range_configs_are_rejected() {
+        for config in [
+            ServeConfig {
+                mc_rounds: 0,
+                ..small_config()
+            },
+            // The numeric integrator needs at least two grid nodes.
+            ServeConfig {
+                numeric_steps: 1,
+                ..small_config()
+            },
+        ] {
+            assert!(matches!(
+                ShardSet::new(2, ShardPolicy::Hash, config),
+                Err(ServeError::InvalidConfig { .. })
+            ));
+        }
+        assert!(ShardSet::new(
+            2,
+            ShardPolicy::Hash,
+            ServeConfig {
+                numeric_steps: 2,
+                ..small_config()
+            }
+        )
+        .is_ok());
     }
 
     #[test]

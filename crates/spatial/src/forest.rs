@@ -11,8 +11,8 @@
 //! with a handful and removes the per-round pointer chase, which is most of
 //! the constant factor on the many-rounds/small-`n` regime the Chernoff
 //! bound (Eq. 6) produces. Leaf scans run through the shared lane-chunked
-//! kernel ([`crate::scan`]); each batched query keeps a `*_scalar` twin as
-//! its differential oracle (bit-identity contract, DESIGN.md §8).
+//! kernel ([`crate::scan`]); the workspace tests check each query against a
+//! flat scan of its round (DESIGN.md §8).
 //!
 //! Query support mirrors the per-round needs of the Monte-Carlo structure:
 //! [`KdForest::nearest`], the seeded [`KdForest::nearest_within`] (for
@@ -192,25 +192,6 @@ impl KdForest {
     /// before the descent starts; `f64::INFINITY` recovers the unseeded
     /// search exactly.
     pub fn nearest_within(&self, round: usize, q: Point, init_best: f64) -> Option<Neighbor> {
-        self.nearest_within_impl::<true>(round, q, init_best)
-    }
-
-    /// Scalar differential oracle for [`KdForest::nearest_within`].
-    pub fn nearest_within_scalar(
-        &self,
-        round: usize,
-        q: Point,
-        init_best: f64,
-    ) -> Option<Neighbor> {
-        self.nearest_within_impl::<false>(round, q, init_best)
-    }
-
-    fn nearest_within_impl<const BATCH: bool>(
-        &self,
-        round: usize,
-        q: Point,
-        init_best: f64,
-    ) -> Option<Neighbor> {
         if self.round_len(round) == 0 {
             return None;
         }
@@ -219,11 +200,11 @@ impl KdForest {
             // Inclusive seed radius under the strict `<` comparisons below.
             dist: init_best.next_up(),
         };
-        self.nearest_rec::<BATCH>(self.root(round), q, &mut best);
+        self.nearest_rec(self.root(round), q, &mut best);
         (best.id != usize::MAX).then_some(best)
     }
 
-    fn nearest_rec<const BATCH: bool>(&self, node: u32, q: Point, best: &mut Neighbor) {
+    fn nearest_rec(&self, node: u32, q: Point, best: &mut Neighbor) {
         let n = &self.nodes[node as usize];
         if n.bbox.min_dist(q) >= best.dist {
             unn_observe::forest_node_pruned();
@@ -233,7 +214,7 @@ impl KdForest {
         if n.is_leaf() {
             // Shared moving gate threshold, as in `KdTree::nearest_rec`.
             let bd = std::cell::Cell::new(best.dist);
-            scan_dists_below::<BATCH, _, _>(
+            scan_dists_below(
                 &self.xs,
                 &self.ys,
                 n.start as usize,
@@ -256,11 +237,11 @@ impl KdForest {
         let dl = self.nodes[l as usize].bbox.min_dist2(q);
         let dr = self.nodes[r as usize].bbox.min_dist2(q);
         if dl <= dr {
-            self.nearest_rec::<BATCH>(l, q, best);
-            self.nearest_rec::<BATCH>(r, q, best);
+            self.nearest_rec(l, q, best);
+            self.nearest_rec(r, q, best);
         } else {
-            self.nearest_rec::<BATCH>(r, q, best);
-            self.nearest_rec::<BATCH>(l, q, best);
+            self.nearest_rec(r, q, best);
+            self.nearest_rec(l, q, best);
         }
     }
 
@@ -268,37 +249,16 @@ impl KdForest {
     /// `out` (cleared first) sorted by increasing distance — the
     /// buffer-reusing engine of per-round k-NN loops.
     pub fn m_nearest_into(&self, round: usize, q: Point, m: usize, out: &mut Vec<Neighbor>) {
-        self.m_nearest_into_impl::<true>(round, q, m, out);
-    }
-
-    /// Scalar differential oracle for [`KdForest::m_nearest_into`].
-    pub fn m_nearest_into_scalar(&self, round: usize, q: Point, m: usize, out: &mut Vec<Neighbor>) {
-        self.m_nearest_into_impl::<false>(round, q, m, out);
-    }
-
-    fn m_nearest_into_impl<const BATCH: bool>(
-        &self,
-        round: usize,
-        q: Point,
-        m: usize,
-        out: &mut Vec<Neighbor>,
-    ) {
         out.clear();
         if self.round_len(round) == 0 || m == 0 {
             return;
         }
         out.reserve(m + 1);
-        self.m_nearest_rec::<BATCH>(self.root(round), q, m, out);
+        self.m_nearest_rec(self.root(round), q, m, out);
         out.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
     }
 
-    fn m_nearest_rec<const BATCH: bool>(
-        &self,
-        node: u32,
-        q: Point,
-        m: usize,
-        heap: &mut Vec<Neighbor>,
-    ) {
+    fn m_nearest_rec(&self, node: u32, q: Point, m: usize, heap: &mut Vec<Neighbor>) {
         let n = &self.nodes[node as usize];
         let worst = if heap.len() < m {
             f64::INFINITY
@@ -318,7 +278,7 @@ impl KdForest {
             } else {
                 heap[0].dist
             });
-            scan_dists_below::<BATCH, _, _>(
+            scan_dists_below(
                 &self.xs,
                 &self.ys,
                 n.start as usize,
@@ -349,11 +309,11 @@ impl KdForest {
         let dl = self.nodes[l as usize].bbox.min_dist2(q);
         let dr = self.nodes[r as usize].bbox.min_dist2(q);
         if dl <= dr {
-            self.m_nearest_rec::<BATCH>(l, q, m, heap);
-            self.m_nearest_rec::<BATCH>(r, q, m, heap);
+            self.m_nearest_rec(l, q, m, heap);
+            self.m_nearest_rec(r, q, m, heap);
         } else {
-            self.m_nearest_rec::<BATCH>(r, q, m, heap);
-            self.m_nearest_rec::<BATCH>(l, q, m, heap);
+            self.m_nearest_rec(r, q, m, heap);
+            self.m_nearest_rec(l, q, m, heap);
         }
     }
 }
@@ -450,9 +410,6 @@ mod tests {
                 for m in [1usize, 3, 11] {
                     forest.m_nearest_into(r, q, m, &mut buf);
                     assert_eq!(buf, tree.m_nearest(q, m));
-                    let mut scalar = Vec::new();
-                    forest.m_nearest_into_scalar(r, q, m, &mut scalar);
-                    assert_eq!(buf, scalar);
                 }
             }
         }
@@ -493,15 +450,21 @@ mod tests {
                 rng.random_range(-120.0..120.0),
                 rng.random_range(-120.0..120.0),
             );
-            for r in 0..forest.rounds() {
-                let want = forest.nearest(r, q).unwrap();
+            for (r, pts) in rounds.iter().enumerate() {
+                // Flat scan of the round: (distance, index)-lex minimum.
+                let want = pts
+                    .iter()
+                    .enumerate()
+                    .map(|(id, p)| Neighbor {
+                        id,
+                        dist: p.dist(q),
+                    })
+                    .min_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)))
+                    .unwrap();
                 for seed in [want.dist, want.dist * 2.0, f64::INFINITY] {
                     let got = forest.nearest_within(r, q, seed).unwrap();
                     assert_eq!(got.id, want.id, "round {r} seed {seed}");
                     assert_eq!(got.dist, want.dist);
-                    let scalar = forest.nearest_within_scalar(r, q, seed).unwrap();
-                    assert_eq!(scalar.id, got.id);
-                    assert_eq!(scalar.dist.to_bits(), got.dist.to_bits());
                 }
                 if want.dist > 0.0 {
                     assert!(forest.nearest_within(r, q, want.dist * 0.5).is_none());

@@ -6,7 +6,8 @@
 //! * [`KdTree::nearest`] / [`KdTree::m_nearest`] — plain (m-)nearest
 //!   neighbors; the engine of the Monte-Carlo structure (§4.2) and of spiral
 //!   search (§4.3, replacing the `[AC09]` structure).
-//! * [`KdTree::in_disk`] — disk range reporting.
+//! * [`KdTree::in_disk_capped`] — disk range reporting under an output
+//!   budget (`usize::MAX` reports the whole ball).
 //! * [`KdTree::min_adjusted`] — minimize a per-point score bounded below by
 //!   the box distance; with `eval = d(q,c_i) + r_i` over disk centers this
 //!   computes `Δ(q) = min_i Δ_i(q)`, stage 1 of the `NN≠0` query (§3).
@@ -23,9 +24,9 @@
 //! nodes are stored in a flat `Vec` (index arithmetic, no pointers), leaves
 //! hold at most [`KdConfig::leaf_size`] points. Leaf storage is
 //! structure-of-arrays — `x[]`/`y[]`/`lo[]`/`hi[]`/`id[]` — and the hot
-//! leaf scans run in lane batches (see [`crate::scan`]); every batched
-//! method keeps a live `*_scalar` twin as its differential oracle
-//! (DESIGN.md §8 states the bit-identity contract).
+//! leaf scans run in lane batches (see [`crate::scan`]). Each query has one
+//! implementation; the workspace tests check every one against a flat scan
+//! over its definition (DESIGN.md §8).
 
 use unn_geom::kernels::{AabbSoA, LANES};
 use unn_geom::{Aabb, Point};
@@ -230,16 +231,10 @@ impl KdTree {
     }
 
     /// Leaf scan: hands `(slot, d(q, p_slot))` to `f` in ascending slot
-    /// order; `BATCH` selects lane-chunked vs scalar (bit-identical).
+    /// order, lane-chunked.
     #[inline]
-    fn scan<const BATCH: bool, F: FnMut(usize, f64)>(
-        &self,
-        start: u32,
-        end: u32,
-        q: Point,
-        f: &mut F,
-    ) {
-        scan_dists::<BATCH, F>(&self.xs, &self.ys, start as usize, end as usize, q, f);
+    fn scan<F: FnMut(usize, f64)>(&self, start: u32, end: u32, q: Point, f: &mut F) {
+        scan_dists(&self.xs, &self.ys, start as usize, end as usize, q, f);
     }
 
     /// Threshold-gated leaf scan ([`scan_dists_below`]): `f` only sees
@@ -247,7 +242,7 @@ impl KdTree {
     /// lane are rejected by one vectorized compare. `f` must still apply
     /// its exact predicate — the gate over-approximates.
     #[inline]
-    fn scan_below<const BATCH: bool, T: FnMut() -> f64, F: FnMut(usize, f64)>(
+    fn scan_below<T: FnMut() -> f64, F: FnMut(usize, f64)>(
         &self,
         start: u32,
         end: u32,
@@ -255,7 +250,7 @@ impl KdTree {
         thresh: &mut T,
         f: &mut F,
     ) {
-        scan_dists_below::<BATCH, T, F>(
+        scan_dists_below(
             &self.xs,
             &self.ys,
             start as usize,
@@ -282,18 +277,6 @@ impl KdTree {
     /// result is identical to [`KdTree::nearest`]; `f64::INFINITY` recovers
     /// the unseeded search exactly.
     pub fn nearest_within(&self, q: Point, init_best: f64) -> Option<Neighbor> {
-        self.nearest_within_impl::<true>(q, init_best)
-    }
-
-    /// Scalar differential oracle for [`KdTree::nearest_within`]: identical
-    /// traversal with the per-point scalar leaf loop. Kept live (not
-    /// test-gated) so the equivalence suite and benches can diff the
-    /// batched path at any time.
-    pub fn nearest_within_scalar(&self, q: Point, init_best: f64) -> Option<Neighbor> {
-        self.nearest_within_impl::<false>(q, init_best)
-    }
-
-    fn nearest_within_impl<const BATCH: bool>(&self, q: Point, init_best: f64) -> Option<Neighbor> {
         if self.is_empty() {
             return None;
         }
@@ -303,11 +286,11 @@ impl KdTree {
             // `<` comparisons below (a point at exactly `init_best` wins).
             dist: init_best.next_up(),
         };
-        self.nearest_rec::<BATCH>(0, q, &mut best);
+        self.nearest_rec(0, q, &mut best);
         (best.id != usize::MAX).then_some(best)
     }
 
-    fn nearest_rec<const BATCH: bool>(&self, node: u32, q: Point, best: &mut Neighbor) {
+    fn nearest_rec(&self, node: u32, q: Point, best: &mut Neighbor) {
         let n = &self.nodes[node as usize];
         if n.bbox.min_dist(q) >= best.dist {
             unn_observe::kd_node_pruned();
@@ -318,7 +301,7 @@ impl KdTree {
             // The gate threshold tightens as the incumbent improves; a
             // `Cell` lets the gate closure and the visitor share it.
             let bd = std::cell::Cell::new(best.dist);
-            self.scan_below::<BATCH, _, _>(n.start, n.end, q, &mut || bd.get(), &mut |slot, d| {
+            self.scan_below(n.start, n.end, q, &mut || bd.get(), &mut |slot, d| {
                 if d < bd.get() {
                     *best = Neighbor {
                         id: self.ids[slot] as usize,
@@ -333,11 +316,11 @@ impl KdTree {
         let dl = self.nodes[l as usize].bbox.min_dist2(q);
         let dr = self.nodes[r as usize].bbox.min_dist2(q);
         if dl <= dr {
-            self.nearest_rec::<BATCH>(l, q, best);
-            self.nearest_rec::<BATCH>(r, q, best);
+            self.nearest_rec(l, q, best);
+            self.nearest_rec(r, q, best);
         } else {
-            self.nearest_rec::<BATCH>(r, q, best);
-            self.nearest_rec::<BATCH>(l, q, best);
+            self.nearest_rec(r, q, best);
+            self.nearest_rec(l, q, best);
         }
     }
 
@@ -354,32 +337,17 @@ impl KdTree {
     /// [`KdTree::m_nearest`] into a caller-provided buffer (cleared first):
     /// per-round loops reuse one heap allocation across calls.
     pub fn m_nearest_into(&self, q: Point, m: usize, out: &mut Vec<Neighbor>) {
-        self.m_nearest_into_impl::<true>(q, m, out);
-    }
-
-    /// Scalar differential oracle for [`KdTree::m_nearest_into`].
-    pub fn m_nearest_into_scalar(&self, q: Point, m: usize, out: &mut Vec<Neighbor>) {
-        self.m_nearest_into_impl::<false>(q, m, out);
-    }
-
-    fn m_nearest_into_impl<const BATCH: bool>(&self, q: Point, m: usize, out: &mut Vec<Neighbor>) {
         out.clear();
         if self.is_empty() || m == 0 {
             return;
         }
         // Bounded max-heap on distance.
         out.reserve(m + 1);
-        self.m_nearest_rec::<BATCH>(0, q, m, out);
+        self.m_nearest_rec(0, q, m, out);
         out.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
     }
 
-    fn m_nearest_rec<const BATCH: bool>(
-        &self,
-        node: u32,
-        q: Point,
-        m: usize,
-        heap: &mut Vec<Neighbor>,
-    ) {
+    fn m_nearest_rec(&self, node: u32, q: Point, m: usize, heap: &mut Vec<Neighbor>) {
         let n = &self.nodes[node as usize];
         let worst = if heap.len() < m {
             f64::INFINITY
@@ -397,7 +365,7 @@ impl KdTree {
             } else {
                 heap[0].dist
             });
-            self.scan_below::<BATCH, _, _>(
+            self.scan_below(
                 n.start,
                 n.end,
                 q,
@@ -426,60 +394,19 @@ impl KdTree {
         let dl = self.nodes[l as usize].bbox.min_dist2(q);
         let dr = self.nodes[r as usize].bbox.min_dist2(q);
         if dl <= dr {
-            self.m_nearest_rec::<BATCH>(l, q, m, heap);
-            self.m_nearest_rec::<BATCH>(r, q, m, heap);
+            self.m_nearest_rec(l, q, m, heap);
+            self.m_nearest_rec(r, q, m, heap);
         } else {
-            self.m_nearest_rec::<BATCH>(r, q, m, heap);
-            self.m_nearest_rec::<BATCH>(l, q, m, heap);
+            self.m_nearest_rec(r, q, m, heap);
+            self.m_nearest_rec(l, q, m, heap);
         }
     }
 
     /// Calls `visit(id, dist)` for every point within distance `r` of `q`
-    /// (closed ball).
-    pub fn in_disk<F: FnMut(usize, f64)>(&self, q: Point, r: f64, visit: &mut F) {
-        if self.is_empty() || r < 0.0 {
-            return;
-        }
-        self.in_disk_rec::<true, F>(0, q, r, visit);
-    }
-
-    /// Scalar differential oracle for [`KdTree::in_disk`].
-    pub fn in_disk_scalar<F: FnMut(usize, f64)>(&self, q: Point, r: f64, visit: &mut F) {
-        if self.is_empty() || r < 0.0 {
-            return;
-        }
-        self.in_disk_rec::<false, F>(0, q, r, visit);
-    }
-
-    fn in_disk_rec<const BATCH: bool, F: FnMut(usize, f64)>(
-        &self,
-        node: u32,
-        q: Point,
-        r: f64,
-        visit: &mut F,
-    ) {
-        let n = &self.nodes[node as usize];
-        if n.bbox.min_dist(q) > r {
-            unn_observe::kd_node_pruned();
-            return;
-        }
-        unn_observe::kd_node_visited();
-        if n.is_leaf() {
-            self.scan_below::<BATCH, _, _>(n.start, n.end, q, &mut || r, &mut |slot, d| {
-                if d <= r {
-                    unn_observe::ball_point();
-                    visit(self.ids[slot] as usize, d);
-                }
-            });
-            return;
-        }
-        self.in_disk_rec::<BATCH, F>(n.left, q, r, visit);
-        self.in_disk_rec::<BATCH, F>(n.right, q, r, visit);
-    }
-
-    /// [`KdTree::in_disk`] with an output budget: stops and returns `false`
-    /// as soon as reporting one more point would exceed `cap`. Returns
-    /// `true` when every point in the ball was visited.
+    /// (closed ball) under an output budget: stops and returns `false` as
+    /// soon as reporting one more point would exceed `cap`. Returns `true`
+    /// when every point in the ball was visited (`cap = usize::MAX` reports
+    /// the whole ball).
     ///
     /// Callers use the budget to bound range-reporting cost when the ball
     /// could degenerate to a large fraction of the tree (the partial visits
@@ -491,35 +418,14 @@ impl KdTree {
         cap: usize,
         visit: &mut F,
     ) -> bool {
-        self.in_disk_capped_impl::<true, F>(q, r, cap, visit)
-    }
-
-    /// Scalar differential oracle for [`KdTree::in_disk_capped`].
-    pub fn in_disk_capped_scalar<F: FnMut(usize, f64)>(
-        &self,
-        q: Point,
-        r: f64,
-        cap: usize,
-        visit: &mut F,
-    ) -> bool {
-        self.in_disk_capped_impl::<false, F>(q, r, cap, visit)
-    }
-
-    fn in_disk_capped_impl<const BATCH: bool, F: FnMut(usize, f64)>(
-        &self,
-        q: Point,
-        r: f64,
-        cap: usize,
-        visit: &mut F,
-    ) -> bool {
         if self.is_empty() || r < 0.0 {
             return true;
         }
         let mut budget = cap;
-        self.in_disk_capped_rec::<BATCH, F>(0, q, r, &mut budget, visit)
+        self.in_disk_capped_rec(0, q, r, &mut budget, visit)
     }
 
-    fn in_disk_capped_rec<const BATCH: bool, F: FnMut(usize, f64)>(
+    fn in_disk_capped_rec<F: FnMut(usize, f64)>(
         &self,
         node: u32,
         q: Point,
@@ -535,11 +441,10 @@ impl KdTree {
         unn_observe::kd_node_visited();
         if n.is_leaf() {
             // The batched scan cannot early-return mid-leaf; `ok` gates all
-            // effects after an abort so the visit sequence, budget, and
-            // return value stay identical to the early-returning scalar
-            // original (the leftover lanes only compute distances).
+            // effects after an abort, so exactly `cap` points are visited
+            // (the leftover lanes only compute distances).
             let mut ok = true;
-            self.scan_below::<BATCH, _, _>(n.start, n.end, q, &mut || r, &mut |slot, d| {
+            self.scan_below(n.start, n.end, q, &mut || r, &mut |slot, d| {
                 if ok && d <= r {
                     if *budget == 0 {
                         ok = false;
@@ -552,8 +457,8 @@ impl KdTree {
             });
             return ok;
         }
-        self.in_disk_capped_rec::<BATCH, F>(n.left, q, r, budget, visit)
-            && self.in_disk_capped_rec::<BATCH, F>(n.right, q, r, budget, visit)
+        self.in_disk_capped_rec(n.left, q, r, budget, visit)
+            && self.in_disk_capped_rec(n.right, q, r, budget, visit)
     }
 
     /// Minimizes `eval(id)` over all points, where `eval(id)` must satisfy
@@ -634,34 +539,15 @@ impl KdTree {
     /// leaf evaluations running through the lane-chunked scan instead of a
     /// per-point closure.
     pub fn min_adjusted_weighted(&self, q: Point) -> Option<(usize, f64)> {
-        self.min_adjusted_weighted_impl::<true>(q, f64::INFINITY)
-    }
-
-    /// [`KdTree::min_adjusted_weighted`] seeded with incumbent `init`
-    /// (same contract as [`KdTree::min_adjusted_from`]).
-    pub fn min_adjusted_weighted_from(&self, q: Point, init: f64) -> Option<(usize, f64)> {
-        self.min_adjusted_weighted_impl::<true>(q, init)
-    }
-
-    /// Scalar differential oracle for [`KdTree::min_adjusted_weighted_from`].
-    pub fn min_adjusted_weighted_from_scalar(&self, q: Point, init: f64) -> Option<(usize, f64)> {
-        self.min_adjusted_weighted_impl::<false>(q, init)
-    }
-
-    fn min_adjusted_weighted_impl<const BATCH: bool>(
-        &self,
-        q: Point,
-        init: f64,
-    ) -> Option<(usize, f64)> {
         if self.is_empty() {
             return None;
         }
-        let mut best: (usize, f64) = (usize::MAX, init);
-        self.min_weighted_rec::<BATCH>(0, q, &mut best);
+        let mut best: (usize, f64) = (usize::MAX, f64::INFINITY);
+        self.min_weighted_rec(0, q, &mut best);
         (best.0 != usize::MAX).then_some(best)
     }
 
-    fn min_weighted_rec<const BATCH: bool>(&self, node: u32, q: Point, best: &mut (usize, f64)) {
+    fn min_weighted_rec(&self, node: u32, q: Point, best: &mut (usize, f64)) {
         let n = &self.nodes[node as usize];
         if n.bbox.min_dist(q) + n.min_aux >= best.1 {
             unn_observe::kd_node_pruned();
@@ -669,7 +555,7 @@ impl KdTree {
         }
         unn_observe::kd_node_visited();
         if n.is_leaf() {
-            self.scan::<BATCH, _>(n.start, n.end, q, &mut |slot, d| {
+            self.scan(n.start, n.end, q, &mut |slot, d| {
                 let v = d + self.aux_lo[slot];
                 if v < best.1 {
                     *best = (self.ids[slot] as usize, v);
@@ -681,11 +567,11 @@ impl KdTree {
         let bl = self.nodes[l as usize].bbox.min_dist(q) + self.nodes[l as usize].min_aux;
         let br = self.nodes[r as usize].bbox.min_dist(q) + self.nodes[r as usize].min_aux;
         if bl <= br {
-            self.min_weighted_rec::<BATCH>(l, q, best);
-            self.min_weighted_rec::<BATCH>(r, q, best);
+            self.min_weighted_rec(l, q, best);
+            self.min_weighted_rec(r, q, best);
         } else {
-            self.min_weighted_rec::<BATCH>(r, q, best);
-            self.min_weighted_rec::<BATCH>(l, q, best);
+            self.min_weighted_rec(r, q, best);
+            self.min_weighted_rec(l, q, best);
         }
     }
 
@@ -755,29 +641,15 @@ impl KdTree {
     /// (`eval(i) = d(q, p_i) + lo_i`): the two-stage `NN≠0` front end's
     /// `(Δ₁, Δ₂)` in one lane-chunked walk.
     pub fn min_two_adjusted_weighted(&self, q: Point) -> Option<(usize, f64, f64)> {
-        self.min_two_weighted_impl::<true>(q)
-    }
-
-    /// Scalar differential oracle for [`KdTree::min_two_adjusted_weighted`].
-    pub fn min_two_adjusted_weighted_scalar(&self, q: Point) -> Option<(usize, f64, f64)> {
-        self.min_two_weighted_impl::<false>(q)
-    }
-
-    fn min_two_weighted_impl<const BATCH: bool>(&self, q: Point) -> Option<(usize, f64, f64)> {
         if self.is_empty() {
             return None;
         }
         let mut best: (usize, f64, f64) = (usize::MAX, f64::INFINITY, f64::INFINITY);
-        self.min_two_weighted_rec::<BATCH>(0, q, &mut best);
+        self.min_two_weighted_rec(0, q, &mut best);
         (best.0 != usize::MAX).then_some(best)
     }
 
-    fn min_two_weighted_rec<const BATCH: bool>(
-        &self,
-        node: u32,
-        q: Point,
-        best: &mut (usize, f64, f64),
-    ) {
+    fn min_two_weighted_rec(&self, node: u32, q: Point, best: &mut (usize, f64, f64)) {
         let n = &self.nodes[node as usize];
         if n.bbox.min_dist(q) + n.min_aux >= best.2 {
             unn_observe::kd_node_pruned();
@@ -785,7 +657,7 @@ impl KdTree {
         }
         unn_observe::kd_node_visited();
         if n.is_leaf() {
-            self.scan::<BATCH, _>(n.start, n.end, q, &mut |slot, d| {
+            self.scan(n.start, n.end, q, &mut |slot, d| {
                 let v = d + self.aux_lo[slot];
                 if v < best.1 {
                     best.2 = best.1;
@@ -801,11 +673,11 @@ impl KdTree {
         let bl = self.nodes[l as usize].bbox.min_dist(q) + self.nodes[l as usize].min_aux;
         let br = self.nodes[r as usize].bbox.min_dist(q) + self.nodes[r as usize].min_aux;
         if bl <= br {
-            self.min_two_weighted_rec::<BATCH>(l, q, best);
-            self.min_two_weighted_rec::<BATCH>(r, q, best);
+            self.min_two_weighted_rec(l, q, best);
+            self.min_two_weighted_rec(r, q, best);
         } else {
-            self.min_two_weighted_rec::<BATCH>(r, q, best);
-            self.min_two_weighted_rec::<BATCH>(l, q, best);
+            self.min_two_weighted_rec(r, q, best);
+            self.min_two_weighted_rec(l, q, best);
         }
     }
 
@@ -818,34 +690,15 @@ impl KdTree {
     /// `boxes[id]` (e.g. the boxes' centers). Bit-identical to
     /// `min_adjusted(q, &|i| boxes.get(i).max_dist(q))`.
     pub fn min_adjusted_boxes(&self, q: Point, boxes: &AabbSoA) -> Option<(usize, f64)> {
-        self.min_adjusted_boxes_impl::<true>(q, boxes)
-    }
-
-    /// Scalar differential oracle for [`KdTree::min_adjusted_boxes`].
-    pub fn min_adjusted_boxes_scalar(&self, q: Point, boxes: &AabbSoA) -> Option<(usize, f64)> {
-        self.min_adjusted_boxes_impl::<false>(q, boxes)
-    }
-
-    fn min_adjusted_boxes_impl<const BATCH: bool>(
-        &self,
-        q: Point,
-        boxes: &AabbSoA,
-    ) -> Option<(usize, f64)> {
         if self.is_empty() {
             return None;
         }
         let mut best: (usize, f64) = (usize::MAX, f64::INFINITY);
-        self.min_boxes_rec::<BATCH>(0, q, boxes, &mut best);
+        self.min_boxes_rec(0, q, boxes, &mut best);
         (best.0 != usize::MAX).then_some(best)
     }
 
-    fn min_boxes_rec<const BATCH: bool>(
-        &self,
-        node: u32,
-        q: Point,
-        boxes: &AabbSoA,
-        best: &mut (usize, f64),
-    ) {
+    fn min_boxes_rec(&self, node: u32, q: Point, boxes: &AabbSoA, best: &mut (usize, f64)) {
         let n = &self.nodes[node as usize];
         if n.bbox.min_dist(q) + n.min_aux >= best.1 {
             unn_observe::kd_node_pruned();
@@ -856,18 +709,16 @@ impl KdTree {
             let (s, e) = (n.start as usize, n.end as usize);
             unn_observe::leaf_points((e - s) as u64);
             let mut i = s;
-            if BATCH {
-                let batches = (e - s) / LANES;
-                unn_observe::simd_batches_add(batches as u64);
-                for _ in 0..batches {
-                    let vs = boxes.max_dist_lanes(&self.ids[i..i + LANES], q.x, q.y);
-                    for (l, &v) in vs.iter().enumerate() {
-                        if v < best.1 {
-                            *best = (self.ids[i + l] as usize, v);
-                        }
+            let batches = (e - s) / LANES;
+            unn_observe::simd_batches_add(batches as u64);
+            for _ in 0..batches {
+                let vs = boxes.max_dist_lanes(&self.ids[i..i + LANES], q.x, q.y);
+                for (l, &v) in vs.iter().enumerate() {
+                    if v < best.1 {
+                        *best = (self.ids[i + l] as usize, v);
                     }
-                    i += LANES;
                 }
+                i += LANES;
             }
             while i < e {
                 let id = self.ids[i] as usize;
@@ -883,11 +734,11 @@ impl KdTree {
         let bl = self.nodes[l as usize].bbox.min_dist(q) + self.nodes[l as usize].min_aux;
         let br = self.nodes[r as usize].bbox.min_dist(q) + self.nodes[r as usize].min_aux;
         if bl <= br {
-            self.min_boxes_rec::<BATCH>(l, q, boxes, best);
-            self.min_boxes_rec::<BATCH>(r, q, boxes, best);
+            self.min_boxes_rec(l, q, boxes, best);
+            self.min_boxes_rec(r, q, boxes, best);
         } else {
-            self.min_boxes_rec::<BATCH>(r, q, boxes, best);
-            self.min_boxes_rec::<BATCH>(l, q, boxes, best);
+            self.min_boxes_rec(r, q, boxes, best);
+            self.min_boxes_rec(l, q, boxes, best);
         }
     }
 
@@ -907,40 +758,22 @@ impl KdTree {
     /// second-minimum, and a Δ at or above the running second-minimum
     /// changes neither.
     ///
-    /// The batched walk exercises that latitude at point granularity too:
-    /// each leaf's center distances are computed in lane batches and slots
-    /// with `d(q, p_id) >= cap` are skipped without calling `visit` — by
-    /// the contract their statistic is `>= cap` and the fold ignores them.
-    /// [`KdTree::prune_with_cap_scalar`] keeps the original
-    /// visit-every-slot walk as the differential oracle: both walks land
-    /// on the identical final fold state and cap.
+    /// The walk exercises that latitude at point granularity too: each
+    /// leaf's center distances are computed in lane batches and slots with
+    /// `d(q, p_id) >= cap` are skipped without calling `visit` — by the
+    /// contract their statistic is `>= cap` and the fold ignores them. The
+    /// final fold state and cap therefore equal those of a fold over every
+    /// point.
     pub fn prune_with_cap(&self, q: Point, cap: f64, visit: &mut dyn FnMut(usize) -> f64) -> f64 {
         if self.is_empty() {
             return cap;
         }
         let mut cap = cap;
-        self.prune_with_cap_rec::<true>(0, q, &mut cap, visit);
+        self.prune_with_cap_rec(0, q, &mut cap, visit);
         cap
     }
 
-    /// Scalar differential oracle for [`KdTree::prune_with_cap`]: no
-    /// center-distance prefilter — every slot of every surviving leaf is
-    /// handed to `visit`, exactly the pre-SoA behavior.
-    pub fn prune_with_cap_scalar(
-        &self,
-        q: Point,
-        cap: f64,
-        visit: &mut dyn FnMut(usize) -> f64,
-    ) -> f64 {
-        if self.is_empty() {
-            return cap;
-        }
-        let mut cap = cap;
-        self.prune_with_cap_rec::<false>(0, q, &mut cap, visit);
-        cap
-    }
-
-    fn prune_with_cap_rec<const BATCH: bool>(
+    fn prune_with_cap_rec(
         &self,
         node: u32,
         q: Point,
@@ -954,38 +787,26 @@ impl KdTree {
         }
         unn_observe::kd_node_visited();
         if n.is_leaf() {
-            if BATCH {
-                // The gate admits `d <= cap`, a superset of the consumer's
-                // strict `d < cap`, so it never drops a slot `visit` takes.
-                let cap_cell = std::cell::Cell::new(*cap);
-                self.scan_below::<true, _, _>(
-                    n.start,
-                    n.end,
-                    q,
-                    &mut || cap_cell.get(),
-                    &mut |slot, d| {
-                        if d < cap_cell.get() {
-                            cap_cell.set(visit(self.ids[slot] as usize));
-                        }
-                    },
-                );
-                *cap = cap_cell.get();
-            } else {
-                for i in n.start..n.end {
-                    *cap = visit(self.ids[i as usize] as usize);
+            // The gate admits `d <= cap`, a superset of the consumer's
+            // strict `d < cap`, so it never drops a slot `visit` takes.
+            let cap_cell = std::cell::Cell::new(*cap);
+            self.scan_below(n.start, n.end, q, &mut || cap_cell.get(), &mut |slot, d| {
+                if d < cap_cell.get() {
+                    cap_cell.set(visit(self.ids[slot] as usize));
                 }
-            }
+            });
+            *cap = cap_cell.get();
             return;
         }
         let (l, r) = (n.left, n.right);
         let dl = self.nodes[l as usize].bbox.min_dist2(q);
         let dr = self.nodes[r as usize].bbox.min_dist2(q);
         if dl <= dr {
-            self.prune_with_cap_rec::<BATCH>(l, q, cap, visit);
-            self.prune_with_cap_rec::<BATCH>(r, q, cap, visit);
+            self.prune_with_cap_rec(l, q, cap, visit);
+            self.prune_with_cap_rec(r, q, cap, visit);
         } else {
-            self.prune_with_cap_rec::<BATCH>(r, q, cap, visit);
-            self.prune_with_cap_rec::<BATCH>(l, q, cap, visit);
+            self.prune_with_cap_rec(r, q, cap, visit);
+            self.prune_with_cap_rec(l, q, cap, visit);
         }
     }
 
@@ -1065,24 +886,10 @@ impl KdTree {
         if self.is_empty() {
             return;
         }
-        self.report_ball_rec::<true>(0, q, t, visit);
+        self.report_ball_rec(0, q, t, visit);
     }
 
-    /// Scalar differential oracle for [`KdTree::report_ball_below`].
-    pub fn report_ball_below_scalar(&self, q: Point, t: f64, visit: &mut dyn FnMut(usize, f64)) {
-        if self.is_empty() {
-            return;
-        }
-        self.report_ball_rec::<false>(0, q, t, visit);
-    }
-
-    fn report_ball_rec<const BATCH: bool>(
-        &self,
-        node: u32,
-        q: Point,
-        t: f64,
-        visit: &mut dyn FnMut(usize, f64),
-    ) {
+    fn report_ball_rec(&self, node: u32, q: Point, t: f64, visit: &mut dyn FnMut(usize, f64)) {
         let n = &self.nodes[node as usize];
         if n.bbox.min_dist(q) - n.max_aux >= t {
             unn_observe::kd_node_pruned();
@@ -1090,7 +897,7 @@ impl KdTree {
         }
         unn_observe::kd_node_visited();
         if n.is_leaf() {
-            self.scan::<BATCH, _>(n.start, n.end, q, &mut |slot, d| {
+            self.scan(n.start, n.end, q, &mut |slot, d| {
                 let v = (d - self.aux_hi[slot]).max(0.0);
                 if v < t {
                     visit(self.ids[slot] as usize, v);
@@ -1098,8 +905,8 @@ impl KdTree {
             });
             return;
         }
-        self.report_ball_rec::<BATCH>(n.left, q, t, visit);
-        self.report_ball_rec::<BATCH>(n.right, q, t, visit);
+        self.report_ball_rec(n.left, q, t, visit);
+        self.report_ball_rec(n.right, q, t, visit);
     }
 }
 
@@ -1280,7 +1087,7 @@ mod tests {
         let q = Point::new(10.0, -20.0);
         for r in [0.0, 5.0, 30.0, 300.0] {
             let mut got: Vec<usize> = Vec::new();
-            tree.in_disk(q, r, &mut |id, _| got.push(id));
+            assert!(tree.in_disk_capped(q, r, usize::MAX, &mut |id, _| got.push(id)));
             got.sort_unstable();
             let want: Vec<usize> = pts
                 .iter()
@@ -1372,11 +1179,6 @@ mod tests {
             assert_eq!(got, (best, d1, d2), "closure single-pass at {q:?}");
             let gotw = tree.min_two_adjusted_weighted(q).unwrap();
             assert_eq!(gotw, (best, d1, d2), "weighted batched at {q:?}");
-            assert_eq!(
-                tree.min_two_adjusted_weighted_scalar(q),
-                Some(gotw),
-                "scalar oracle at {q:?}"
-            );
         }
         // Single-point tree: second is +infinity.
         let one = KdTree::with_aux(&pts[..1], &radii[..1]);
@@ -1407,7 +1209,6 @@ mod tests {
             );
             let want = tree.min_adjusted(q, &|i| boxes[i].max_dist(q)).unwrap();
             assert_eq!(tree.min_adjusted_boxes(q, &soa), Some(want));
-            assert_eq!(tree.min_adjusted_boxes_scalar(q, &soa), Some(want));
         }
         assert!(KdTree::new(&[])
             .min_adjusted_boxes(Point::ORIGIN, &soa)
@@ -1453,7 +1254,7 @@ mod tests {
             // (dist, id)-lex-min ball folds are layout-invariant.
             let fold = |t: &KdTree| {
                 let mut e = (f64::INFINITY, usize::MAX);
-                t.in_disk(q, 75.0, &mut |id, d| {
+                t.in_disk_capped(q, 75.0, usize::MAX, &mut |id, d| {
                     if d < e.0 || (d == e.0 && id < e.1) {
                         e = (d, id);
                     }
@@ -1488,15 +1289,13 @@ mod tests {
             got.sort_unstable();
             let want: Vec<usize> = (0..pts.len()).filter(|&i| delta(i) < t).collect();
             assert_eq!(got, want);
-            // Batched ball reporter: identical visit sequence.
+            // Batched ball reporter: the same ids with the same values.
             let mut ball: Vec<(usize, u64)> = Vec::new();
             tree.report_ball_below(q, t, &mut |id, v| ball.push((id, v.to_bits())));
-            let mut scalar: Vec<(usize, u64)> = Vec::new();
-            tree.report_ball_below_scalar(q, t, &mut |id, v| scalar.push((id, v.to_bits())));
-            assert_eq!(ball, scalar);
-            let mut ids: Vec<usize> = ball.iter().map(|&(id, _)| id).collect();
-            ids.sort_unstable();
-            assert_eq!(ids, want);
+            ball.sort_unstable();
+            let want_ball: Vec<(usize, u64)> =
+                want.iter().map(|&i| (i, delta(i).to_bits())).collect();
+            assert_eq!(ball, want_ball);
         }
     }
 
@@ -1505,7 +1304,7 @@ mod tests {
         // A (min, second-min) fold over d(q, p) where the cap is the running
         // second minimum — the monotone/insensitive shape the dynamic
         // engine's DeltaCompose fold has. The pruned walk must land on the
-        // exact same pair as the full scan, batched and scalar alike.
+        // exact same pair as the full scan.
         let pts = random_points(400, 13);
         let tree = KdTree::new(&pts);
         let mut rng = SmallRng::seed_from_u64(14);
@@ -1514,27 +1313,18 @@ mod tests {
                 rng.random_range(-120.0..120.0),
                 rng.random_range(-120.0..120.0),
             );
-            let run = |batched: bool| {
-                let (mut lo, mut second) = (f64::INFINITY, f64::INFINITY);
-                let mut fold = |id: usize| {
-                    let d = pts[id].dist(q);
-                    if d < lo {
-                        second = lo;
-                        lo = d;
-                    } else if d < second {
-                        second = d;
-                    }
-                    second
-                };
-                if batched {
-                    tree.prune_with_cap(q, f64::INFINITY, &mut fold);
-                } else {
-                    tree.prune_with_cap_scalar(q, f64::INFINITY, &mut fold);
+            let (mut lo, mut second) = (f64::INFINITY, f64::INFINITY);
+            let fin = tree.prune_with_cap(q, f64::INFINITY, &mut |id: usize| {
+                let d = pts[id].dist(q);
+                if d < lo {
+                    second = lo;
+                    lo = d;
+                } else if d < second {
+                    second = d;
                 }
-                (lo, second)
-            };
-            let (lo, second) = run(true);
-            assert_eq!((lo, second), run(false), "batched vs scalar at {q:?}");
+                second
+            });
+            assert_eq!(fin, second, "returned cap at {q:?}");
             let mut dists: Vec<f64> = pts.iter().map(|p| p.dist(q)).collect();
             dists.sort_by(f64::total_cmp);
             assert_eq!(lo, dists[0], "min diverged at {q:?}");
@@ -1575,14 +1365,6 @@ mod tests {
                 .map(|(p, r)| p.dist(q) + r)
                 .fold(f64::INFINITY, f64::min);
             assert_eq!(incumbent, want, "threaded minimum diverged at {q:?}");
-            // The weighted batched form threads identically.
-            let mut incumbent_w = f64::INFINITY;
-            for (_, tree) in &trees {
-                if let Some((_, v)) = tree.min_adjusted_weighted_from(q, incumbent_w) {
-                    incumbent_w = v;
-                }
-            }
-            assert_eq!(incumbent_w, want);
         }
         // An incumbent at (or below) the tree minimum yields None.
         let q = Point::ORIGIN;
@@ -1593,7 +1375,6 @@ mod tests {
         assert!(tree
             .min_adjusted_from(q, v, &|i| pts[i].dist(q) + radii[i])
             .is_none());
-        assert!(tree.min_adjusted_weighted_from(q, v).is_none());
     }
 
     #[test]
@@ -1673,17 +1454,12 @@ mod tests {
                 rng.random_range(-120.0..120.0),
                 rng.random_range(-120.0..120.0),
             );
-            let want = tree.nearest(q).unwrap();
+            let want = brute_nearest(&pts, q);
             // Any valid seed (>= true NN distance) gives the identical answer.
             for seed in [want.dist, want.dist * 1.5, want.dist + 10.0, f64::INFINITY] {
                 let got = tree.nearest_within(q, seed).unwrap();
                 assert_eq!(got.id, want.id, "seed = {seed}");
                 assert_eq!(got.dist, want.dist);
-                let scalar = tree.nearest_within_scalar(q, seed).unwrap();
-                assert_eq!(
-                    (scalar.id, scalar.dist.to_bits()),
-                    (got.id, got.dist.to_bits())
-                );
             }
             // A seed strictly below the NN distance finds nothing.
             if want.dist > 0.0 {
@@ -1700,9 +1476,6 @@ mod tests {
         let q = Point::new(3.0, -4.0);
         tree.m_nearest_into(q, 5, &mut buf);
         assert_eq!(buf, tree.m_nearest(q, 5));
-        let mut scalar = Vec::new();
-        tree.m_nearest_into_scalar(q, 5, &mut scalar);
-        assert_eq!(buf, scalar);
         tree.m_nearest_into(q, 0, &mut buf);
         assert!(buf.is_empty());
     }
@@ -1728,7 +1501,7 @@ mod tests {
         let pts = vec![Point::new(1.0, 1.0); 20];
         let tree = KdTree::new(&pts);
         let mut got = Vec::new();
-        tree.in_disk(Point::ORIGIN, 2.0, &mut |id, _| got.push(id));
+        assert!(tree.in_disk_capped(Point::ORIGIN, 2.0, usize::MAX, &mut |id, _| got.push(id)));
         assert_eq!(got.len(), 20);
         let m = tree.m_nearest(Point::ORIGIN, 7);
         assert_eq!(m.len(), 7);

@@ -13,7 +13,7 @@ use unn_geom::{Aabb, AabbSoA, Point};
 
 /// Duplicate-heavy random point cloud in `[-50, 50]²`: one in four points
 /// copies an earlier one, because ties in distance and id order are where
-/// batched/scalar divergence would hide.
+/// a pruned walk and a flat scan would diverge.
 pub fn points(n: usize, seed: u64) -> Vec<Point> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut pts: Vec<Point> = Vec::with_capacity(n);

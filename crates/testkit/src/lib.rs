@@ -1,13 +1,13 @@
-//! # unn-testkit — shared differential-test corpora and batteries
+//! # unn-testkit — shared differential-test corpora, references and batteries
 //!
 //! The integration suites (`tests/kernel_equivalence.rs`,
-//! `tests/dynamic_oracle.rs`, `tests/oracle.rs`,
+//! `tests/dynamic_oracle.rs`, `tests/dynamic_pruning.rs`, `tests/oracle.rs`,
 //! `tests/fault_injection.rs`) all probe the same invariant from different
-//! angles: *every read path is a pure function of the live point set* —
-//! batched vs scalar, dynamic vs fresh static. Before this crate each suite
-//! carried its own copy of the corpus generators; a corpus hardened in one file
-//! (denormals, 1e308 coordinates, churn-shaped id gaps) silently never
-//! reached the others.
+//! angles: *every read path is a pure function of the live point set* — a
+//! pruned kd walk vs a flat scan, dynamic vs fresh static. Before this
+//! crate each suite carried its own copy of the corpus generators; a corpus
+//! hardened in one file (denormals, 1e308 coordinates, churn-shaped id
+//! gaps) silently never reached the others.
 //!
 //! This crate is the single home for that shared machinery:
 //!
@@ -15,11 +15,15 @@
 //!   random clouds, adversarial geometry (coincident, collinear, denormal,
 //!   near-overflow), disk and discrete uncertain sets, aux-offset vectors,
 //!   support boxes, and regime-spanning ball radii.
+//! * [`brute`] — the reference answers: every kd-tree, forest, Monte-Carlo
+//!   and dynamic-snapshot query recomputed from its definition by a flat
+//!   scan. The library crates ship one implementation per query; these are
+//!   what the suites check it against.
 //! * [`churn`] — drives a [`unn::dynamic::DynamicPnnIndex`] through an
 //!   arbitrary insert/remove interleaving against a map mirror, yielding
 //!   the layouts a static build never produces.
 //! * [`sig`] — the full read-path battery serialized into a flat word
-//!   stream: two signatures are equal iff the two paths were bit-identical
+//!   stream: two signatures are equal iff the two runs were bit-identical
 //!   on every kernel.
 //!
 //! Everything is deterministic: generators take explicit seeds and derive
@@ -30,6 +34,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod brute;
 pub mod churn;
 pub mod corpus;
 pub mod sig;

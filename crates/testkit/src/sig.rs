@@ -1,13 +1,13 @@
-//! Read-path signature battery: runs every kd-tree / forest query family
+//! Read-path signature battery: runs every kd-tree query family
 //! and serializes every observable output — ids, distance bits, visit
 //! sequences, completion flags, fold outputs — into a flat word stream.
-//! Two signatures are equal **iff** the two paths were bit-identical on
-//! every kernel, which is exactly the claim the differential suites make
-//! (batched vs scalar, threaded vs sequential).
+//! Two signatures are equal **iff** the two runs were bit-identical on
+//! every kernel, which is the claim the thread-determinism suites make
+//! (concurrent readers vs a sequential one).
 
 use unn_geom::{AabbSoA, Point};
 use unn_nonzero::DeltaCompose;
-use unn_spatial::{KdConfig, KdForest, KdTree, Neighbor};
+use unn_spatial::{KdConfig, KdTree, Neighbor};
 
 use crate::corpus::radii;
 
@@ -53,12 +53,10 @@ fn push_pair(sig: &mut Vec<u64>, v: Option<(usize, f64)>) {
 }
 
 /// Runs the full read-path battery against one tree (nearest, m-nearest,
-/// disk reports, capped reports, weighted minima, box minima, prune
-/// folds) and serializes every observable output. `scalar` selects the
-/// retained scalar-oracle twins of each kernel.
+/// capped disk reports, ball reports, weighted minima, box minima, prune
+/// folds) and serializes every observable output.
 ///
-/// The one deliberate exception is `prune_with_cap`, whose batched walk is
-/// allowed to skip contract-dead points: there the fold *outputs*
+/// `prune_with_cap` may skip contract-dead points, so its fold *outputs*
 /// (`delta_min`, `prune_bound`, `cap_for`) enter the signature — never
 /// visit counts.
 pub fn kd_signature(
@@ -67,26 +65,15 @@ pub fn kd_signature(
     lo: &[f64],
     boxes: &AabbSoA,
     queries: &[Point],
-    scalar: bool,
 ) -> Vec<u64> {
     let mut sig = Vec::new();
     for &q in queries {
         for init in [f64::INFINITY, 1.5] {
-            let n = if scalar {
-                tree.nearest_within_scalar(q, init)
-            } else {
-                tree.nearest_within(q, init)
-            };
-            push_neighbor(&mut sig, n);
+            push_neighbor(&mut sig, tree.nearest_within(q, init));
         }
         let mut out: Vec<Neighbor> = Vec::new();
         for m in [1usize, 4, 33] {
-            out.clear();
-            if scalar {
-                tree.m_nearest_into_scalar(q, m, &mut out);
-            } else {
-                tree.m_nearest_into(q, m, &mut out);
-            }
+            tree.m_nearest_into(q, m, &mut out);
             sig.push(out.len() as u64);
             for n in &out {
                 sig.push(n.id as u64);
@@ -94,60 +81,22 @@ pub fn kd_signature(
             }
         }
         for r in radii(pts, q) {
-            {
-                let visit = &mut |i: usize, d: f64| {
+            for cap in [0usize, 1, 5, usize::MAX] {
+                let complete = tree.in_disk_capped(q, r, cap, &mut |i, d| {
                     sig.push(i as u64);
                     sig.push(d.to_bits());
-                };
-                if scalar {
-                    tree.in_disk_scalar(q, r, visit);
-                } else {
-                    tree.in_disk(q, r, visit);
-                }
-            }
-            sig.push(u64::MAX); // sequence terminator
-            for cap in [0usize, 1, 5, usize::MAX] {
-                let complete = {
-                    let visit = &mut |i: usize, d: f64| {
-                        sig.push(i as u64);
-                        sig.push(d.to_bits());
-                    };
-                    if scalar {
-                        tree.in_disk_capped_scalar(q, r, cap, visit)
-                    } else {
-                        tree.in_disk_capped(q, r, cap, visit)
-                    }
-                };
-                sig.push(u64::MAX);
+                });
+                sig.push(u64::MAX); // sequence terminator
                 sig.push(complete as u64);
             }
-            {
-                let visit = &mut |i: usize, d: f64| {
-                    sig.push(i as u64);
-                    sig.push(d.to_bits());
-                };
-                if scalar {
-                    tree.report_ball_below_scalar(q, r, visit);
-                } else {
-                    tree.report_ball_below(q, r, visit);
-                }
-            }
+            tree.report_ball_below(q, r, &mut |i, d| {
+                sig.push(i as u64);
+                sig.push(d.to_bits());
+            });
             sig.push(u64::MAX);
         }
-        for init in [f64::INFINITY, 2.0] {
-            let v = if scalar {
-                tree.min_adjusted_weighted_from_scalar(q, init)
-            } else {
-                tree.min_adjusted_weighted_from(q, init)
-            };
-            push_pair(&mut sig, v);
-        }
-        let two = if scalar {
-            tree.min_two_adjusted_weighted_scalar(q)
-        } else {
-            tree.min_two_adjusted_weighted(q)
-        };
-        match two {
+        push_pair(&mut sig, tree.min_adjusted_weighted(q));
+        match tree.min_two_adjusted_weighted(q) {
             Some((i, a, b)) => {
                 sig.push(1);
                 sig.push(i as u64);
@@ -156,32 +105,14 @@ pub fn kd_signature(
             }
             None => sig.push(0),
         }
-        let bx = if scalar {
-            tree.min_adjusted_boxes_scalar(q, boxes)
-        } else {
-            tree.min_adjusted_boxes(q, boxes)
-        };
-        push_pair(&mut sig, bx);
-        // Two fold starts: the canonical fresh fold under an infinite cap,
-        // and a pre-seeded fold whose own prune_bound is the entry cap
-        // (the shared-bound idiom from the dynamic read path).
+        push_pair(&mut sig, tree.min_adjusted_boxes(q, boxes));
         for preseed in [false, true] {
-            let mut fold = DeltaCompose::new();
-            if preseed {
-                let r = radii(pts, q);
-                fold.observe(r[1] + 1.0, u64::MAX);
-                fold.observe(r[2] + 1.0, u64::MAX - 1);
-            }
+            let mut fold = prune_fold_start(pts, q, preseed);
             let cap0 = fold.prune_bound();
-            let visit = &mut |i: usize| {
+            let fin = tree.prune_with_cap(q, cap0, &mut |i: usize| {
                 fold.observe(pts[i].dist(q) + lo[i], i as u64);
                 fold.prune_bound()
-            };
-            let fin = if scalar {
-                tree.prune_with_cap_scalar(q, cap0, visit)
-            } else {
-                tree.prune_with_cap(q, cap0, visit)
-            };
+            });
             sig.push(fin.to_bits());
             sig.push(fold.delta_min().to_bits());
             sig.push(fold.prune_bound().to_bits());
@@ -193,35 +124,16 @@ pub fn kd_signature(
     sig
 }
 
-/// The forest twin of [`kd_signature`]: nearest and m-nearest across every
-/// round of the forest, batched or scalar.
-pub fn forest_signature(forest: &KdForest, queries: &[Point], scalar: bool) -> Vec<u64> {
-    let mut sig = Vec::new();
-    let mut out: Vec<Neighbor> = Vec::new();
-    for round in 0..forest.rounds() {
-        for &q in queries {
-            for init in [f64::INFINITY, 2.0] {
-                let n = if scalar {
-                    forest.nearest_within_scalar(round, q, init)
-                } else {
-                    forest.nearest_within(round, q, init)
-                };
-                push_neighbor(&mut sig, n);
-            }
-            for m in [1usize, 3] {
-                out.clear();
-                if scalar {
-                    forest.m_nearest_into_scalar(round, q, m, &mut out);
-                } else {
-                    forest.m_nearest_into(round, q, m, &mut out);
-                }
-                sig.push(out.len() as u64);
-                for n in &out {
-                    sig.push(n.id as u64);
-                    sig.push(n.dist.to_bits());
-                }
-            }
-        }
+/// The two `prune_with_cap` fold starts every battery runs: the canonical
+/// fresh fold under an infinite cap, and (`preseed`) a fold already holding
+/// two out-of-corpus pairs, so its own `prune_bound` is a finite entry cap
+/// (the shared-bound idiom of the dynamic read path).
+pub fn prune_fold_start(pts: &[Point], q: Point, preseed: bool) -> DeltaCompose {
+    let mut fold = DeltaCompose::new();
+    if preseed {
+        let r = radii(pts, q);
+        fold.observe(r[1] + 1.0, u64::MAX);
+        fold.observe(r[2] + 1.0, u64::MAX - 1);
     }
-    sig
+    fold
 }

@@ -1,13 +1,12 @@
 //! Shared-bound pruning oracle: the pruned dynamic read path must be
-//! **bit-identical** to its unpruned references for every churn history and
+//! **bit-identical** to flat-scan references for every churn history and
 //! every compaction policy.
 //!
 //! Three layers of equivalence are checked:
 //!
-//! 1. pruned `nn_nonzero` / `quantify` vs. the snapshot's retained
-//!    *unpruned* linear folds (`nn_nonzero_unpruned` / `quantify_unpruned`)
-//!    — same floats, same comparisons, only with the branch-and-bound caps
-//!    threaded through;
+//! 1. pruned `nn_nonzero` / `quantify` vs. `unn_testkit::brute`'s flat
+//!    Lemma 2.1 scan and per-round `(distance, id)` argmin over the live
+//!    set — same floats, same comparisons, no blocks and no pruning;
 //! 2. pruned `nn_nonzero` vs. a *fresh static* index on the surviving live
 //!    set — Lemma 2.1 composes bit-for-bit across any block layout;
 //! 3. pruned `quantify` vs. a *fresh dynamic rebuild* of the same
@@ -27,6 +26,7 @@ use unn::batch::BatchOptions;
 use unn::dynamic::{CompactionPolicy, DynamicPnnConfig, DynamicPnnIndex, PointId};
 use unn::geom::Point;
 use unn::{PnnConfig, PnnIndex, Uncertain};
+use unn_testkit::brute;
 
 const POLICIES: [CompactionPolicy; 3] = [
     CompactionPolicy::Logarithmic,
@@ -122,13 +122,15 @@ fn assert_pruning_equivalence(
     }
     let resnap = rebuilt.snapshot();
     let static_index = PnnIndex::build(mirror.values().cloned().collect(), static_config());
+    let live: Vec<(PointId, Uncertain)> = mirror.iter().map(|(&id, p)| (id, p.clone())).collect();
+    let (seed, s) = (index.config().base.seed, snap.mc_rounds());
 
     for &q in qs {
         let pruned = snap.nn_nonzero(q);
         assert_eq!(
             pruned,
-            snap.nn_nonzero_unpruned(q),
-            "{tag}: pruned vs unpruned NN!=0 diverged at {q:?}"
+            brute::nn_nonzero(&live, q),
+            "{tag}: pruned vs flat-scan NN!=0 diverged at {q:?}"
         );
         let static_ids: Vec<PointId> = static_index
             .nn_nonzero(q)
@@ -141,10 +143,11 @@ fn assert_pruning_equivalence(
         );
 
         let (pi, _) = snap.quantify(q);
+        let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
         assert_eq!(
-            pi,
-            snap.quantify_unpruned(q),
-            "{tag}: pruned vs unpruned quantify diverged at {q:?}"
+            bits(&pi),
+            bits(&brute::quantify(&live, seed, s, q)),
+            "{tag}: pruned vs flat-scan quantify diverged at {q:?}"
         );
         assert_eq!(
             pi,

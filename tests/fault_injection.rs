@@ -420,6 +420,11 @@ fn invalid_configs_are_typed_errors() {
             numeric_steps: 0,
             ..PnnConfig::default()
         },
+        // The numeric integrator needs at least two grid nodes.
+        PnnConfig {
+            numeric_steps: 1,
+            ..PnnConfig::default()
+        },
         PnnConfig {
             adaptive_min_rounds: 0,
             ..PnnConfig::default()

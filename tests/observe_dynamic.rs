@@ -8,6 +8,7 @@
 use unn::dynamic::{DynamicPnnConfig, DynamicPnnIndex};
 use unn::geom::Point;
 use unn::{PnnConfig, Uncertain};
+use unn_testkit::brute;
 
 fn config() -> DynamicPnnConfig {
     DynamicPnnConfig {
@@ -27,8 +28,7 @@ fn disk(x: f64, y: f64) -> Uncertain {
 
 /// Two well-separated clusters inserted in time order, so the logarithmic
 /// cascade leaves cluster A in its own block: a query deep inside cluster B
-/// must probe strictly fewer blocks on the pruned path, with a
-/// bit-identical answer.
+/// must probe strictly fewer than all blocks, with the flat-scan answer.
 #[test]
 fn pruning_probes_strictly_fewer_blocks_when_separated() {
     let mut index =
@@ -52,20 +52,16 @@ fn pruning_probes_strictly_fewer_blocks_when_separated() {
     let pruned = snap.nn_nonzero(q);
     let with_pruning = unn_observe::take_counters();
 
-    unn_observe::begin_query();
-    let unpruned = snap.nn_nonzero_unpruned(q);
-    let without = unn_observe::take_counters();
-
-    assert_eq!(pruned, unpruned, "answers must not depend on pruning");
     assert_eq!(
-        without.dyn_blocks_probed, 4,
-        "the linear fold touches every block"
+        pruned,
+        brute::nn_nonzero(&snap.live_points(), q),
+        "answers must not depend on pruning"
     );
     assert!(
-        with_pruning.dyn_blocks_probed < without.dyn_blocks_probed,
-        "pruned path probed {} blocks, unpruned {} — cluster A must be skipped",
+        with_pruning.dyn_blocks_probed < snap.blocks() as u64,
+        "pruned path probed {} of {} blocks — cluster A must be skipped",
         with_pruning.dyn_blocks_probed,
-        without.dyn_blocks_probed
+        snap.blocks()
     );
     assert!(
         with_pruning.kd_nodes_pruned > 0,

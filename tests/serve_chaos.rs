@@ -22,7 +22,7 @@ use unn::serve::{
     EngineShard, FaultKind, Outcome, Reply, Request, RetryPolicy, ServeConfig, ShardBackend,
     ShardPolicy, ShardSet, ShardSetSnapshot, ShedReason,
 };
-use unn::Uncertain;
+use unn::{ChaosDistribution, ChaosMode, Uncertain};
 use unn_observe::{Clock, NullClock, VirtualClock};
 
 fn serve_config() -> ServeConfig {
@@ -445,18 +445,23 @@ fn exact_tier_time_is_recorded_through_the_clock() {
     let latency = &d.metrics().query_latency;
     assert_eq!((latency.count, latency.sum), (1, u128::from(STEP / 1_000)));
 
-    // A faulting sweep stays charged to the Monte-Carlo fallback: the
-    // numeric sweep rejects a one-step grid by panicking, then each of
-    // the two shards' round-winner calls takes one more step.
-    let cfg_one_step = ServeConfig {
-        numeric_steps: 1,
-        ..serve_config()
-    };
-    let set = set_of(2, cfg_one_step, grid_disks(20));
+    // A faulting sweep stays charged to the Monte-Carlo fallback: the last
+    // disk panics when a distance is evaluated at the query point, which
+    // only the numeric sweep does (round winners read samples and support
+    // boxes), then each of the two shards' round-winner calls takes one
+    // more step.
+    let poison = Point::new(2.0, 2.0);
+    let mut points: Vec<Uncertain> = grid_disks(20).collect();
+    let last = points.pop().unwrap_or_else(|| panic!("20 disks"));
+    points.push(Uncertain::Chaos(ChaosDistribution::new(
+        last,
+        ChaosMode::PanicAtQuery(poison),
+    )));
+    let set = set_of(2, serve_config(), points);
     let snap = set.snapshot();
     let mut d = Dispatcher::for_snapshot(&snap, cfg, Arc::new(StepClock::new(STEP)))
         .unwrap_or_else(|e| panic!("{e}"));
-    let replies = d.serve(&[Request::Quantify(Point::new(2.0, 2.0))]);
+    let replies = d.serve(&[Request::Quantify(poison)]);
     assert!(matches!(replies[0].outcome, Outcome::Adaptive { .. }));
     assert_eq!(d.metrics().exact_faults, 1);
     assert_eq!(replies[0].elapsed_nanos, 3 * STEP);
