@@ -13,15 +13,15 @@
 //!   [`tag::UNN_ERROR`].
 //!
 //! Both codecs follow the wire crate's totality contract: `f64`s travel
-//! as IEEE bit patterns (bit-identical round trips), every tag and length
-//! is validated, and malformed input returns a typed
-//! [`WireError`] — never a panic.
+//! as IEEE bit patterns (bit-identical round trips), π in the sparse form
+//! of [`Writer::sparse_f64`], every tag and length is validated, and
+//! malformed input returns a typed [`WireError`] — never a panic.
 
 pub use unn_wire::{
-    decode_frame, decode_reply_body, decode_request_body, encode_frame, encode_reply_body,
-    encode_request_body, frame_bytes, frame_split, tag, ErrorCode, ErrorFrame, Frame, Hello,
-    HelloAck, Reader, ReplyBatch, RequestBatch, WireError, Writer, ANY_EPOCH, MAGIC, MAX_FRAME_LEN,
-    WIRE_VERSION,
+    decode_frame, decode_reply_body, decode_request_body, encode_frame, encode_frame_checked,
+    encode_reply_body, encode_request_body, frame_bytes, frame_split, tag, ErrorCode, ErrorFrame,
+    Frame, Hello, HelloAck, Reader, ReplyBatch, RequestBatch, WireError, Writer, ANY_EPOCH, MAGIC,
+    MAX_FRAME_LEN, WIRE_VERSION,
 };
 
 use crate::index::QuantifyMethod;
@@ -63,7 +63,7 @@ pub fn encode_quantify_outcome(outcome: &QuantifyOutcome) -> Vec<u8> {
     match outcome {
         QuantifyOutcome::Exact { pi, method, work } => {
             w.u8(0);
-            w.vec_f64(pi);
+            w.sparse_f64(pi);
             encode_method(&mut w, method);
             w.u64(*work);
         }
@@ -74,7 +74,7 @@ pub fn encode_quantify_outcome(outcome: &QuantifyOutcome) -> Vec<u8> {
             work,
         } => {
             w.u8(1);
-            w.vec_f64(pi);
+            w.sparse_f64(pi);
             w.f64(*achieved_epsilon);
             w.usize(*rounds_used);
             w.u64(*work);
@@ -96,12 +96,12 @@ pub fn decode_quantify_outcome(body: &[u8]) -> Result<QuantifyOutcome, WireError
     }
     let outcome = match r.u8("outcome variant")? {
         0 => QuantifyOutcome::Exact {
-            pi: r.vec_f64("outcome pi")?,
+            pi: r.sparse_f64("outcome pi")?,
             method: decode_method(&mut r)?,
             work: r.u64("outcome work")?,
         },
         1 => QuantifyOutcome::Degraded {
-            pi: r.vec_f64("outcome pi")?,
+            pi: r.sparse_f64("outcome pi")?,
             achieved_epsilon: r.f64("outcome epsilon")?,
             rounds_used: r.usize("outcome rounds_used")?,
             work: r.u64("outcome work")?,

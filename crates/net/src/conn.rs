@@ -11,8 +11,8 @@ use std::sync::{Arc, Mutex};
 
 use unn_serve::Dispatcher;
 use unn_wire::{
-    decode_frame, encode_frame, frame_bytes, frame_split, ErrorCode, ErrorFrame, Frame, Hello,
-    HelloAck, ReplyBatch, ANY_EPOCH, WIRE_VERSION,
+    decode_frame, encode_frame, encode_frame_checked, frame_bytes, frame_split, ErrorCode,
+    ErrorFrame, Frame, Hello, HelloAck, ReplyBatch, WireError, ANY_EPOCH, WIRE_VERSION,
 };
 
 /// Server-side protocol configuration.
@@ -195,8 +195,22 @@ impl Connection {
     }
 }
 
+/// Appends `frame` to `out`. A frame beyond the limits the peer's decoder
+/// enforces is answered by an [`ErrorCode::TooLarge`] frame instead; the
+/// connection stays up.
 fn emit(out: &mut Vec<u8>, frame: &Frame) {
-    let body = encode_frame(frame);
+    let body = encode_frame_checked(frame).unwrap_or_else(|e| {
+        let (ours, theirs) = match e {
+            WireError::LengthOverflow { len, cap, .. } => (cap, len),
+            _ => (0, 0),
+        };
+        encode_frame(&Frame::Error(ErrorFrame {
+            code: ErrorCode::TooLarge,
+            ours,
+            theirs,
+            detail: format!("reply not sent: {e}"),
+        }))
+    });
     unn_observe::net_frame_out(body.len() as u64);
     out.extend_from_slice(&frame_bytes(&body));
 }

@@ -109,7 +109,8 @@ pub enum NetError {
 
 impl NetError {
     /// True when a retry on a fresh connection could plausibly succeed.
-    /// Handshake rejections and an exhausted budget are permanent.
+    /// Handshake rejections, an exhausted budget and a reply the server
+    /// refused as [`ErrorCode::TooLarge`] are permanent.
     pub fn retryable(&self) -> bool {
         match self {
             NetError::Io { .. }

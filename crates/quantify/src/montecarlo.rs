@@ -464,7 +464,6 @@ impl MonteCarloIndex {
             };
         }
         let s = max_rounds.clamp(1, self.s);
-        let (first, l_hoeff, l_bern) = stopping_schedule(self.n, delta, min_rounds, s);
         let seed = self.seed_for(q);
         // Forest backend: all winners come from the single-traversal ball
         // fold (same cost as one fixed-`s` query); early stopping then only
@@ -476,52 +475,11 @@ impl MonteCarloIndex {
         if self.global.is_some() && s == self.s {
             self.winners_into(q, seed, &mut winners);
         }
-        let mut counts = vec![0u32; self.n];
-        let mut used = 0usize;
-        let mut next = first;
-        let mut half_width = f64::INFINITY;
-        for r in 0..s {
-            let wr = match winners.get(r) {
-                Some(&w) => w as usize,
-                None => self.round_winner(r, q, seed),
-            };
-            counts[wr] += 1;
-            used += 1;
-            if used == next {
-                unn_observe::mc_checkpoint();
-                half_width = Self::stop_half_width(&counts, used, l_hoeff, l_bern);
-                if half_width <= eps {
-                    break;
-                }
-                next = (next * 2).min(s);
-            }
-        }
-        let w = 1.0 / used as f64;
-        AdaptiveQuantify {
-            pi: counts.iter().map(|&c| c as f64 * w).collect(),
-            rounds_used: used,
-            half_width,
-        }
-    }
-
-    /// The max-over-`i` confidence half-width after `t` rounds: the tighter
-    /// of the Hoeffding bound (variance-free) and the empirical-Bernstein
-    /// bound at the worst observed empirical variance.
-    fn stop_half_width(counts: &[u32], t: usize, l_hoeff: f64, l_bern: f64) -> f64 {
-        let tf = t as f64;
-        let hoeff = hoeffding_half_width(t, l_hoeff);
-        if t < 2 {
-            return hoeff;
-        }
-        let vmax = counts
-            .iter()
-            .map(|&c| {
-                let p = c as f64 / tf;
-                p * (1.0 - p)
-            })
-            .fold(0.0, f64::max);
-        let bern = (2.0 * vmax * l_bern / tf).sqrt() + 7.0 * l_bern / (3.0 * (tf - 1.0));
-        hoeff.min(bern)
+        let rounds = (0..s).map(|r| match winners.get(r) {
+            Some(&w) => w,
+            None => self.round_winner(r, q, seed) as u32,
+        });
+        adaptive_fold(rounds, self.n, s, eps, delta, min_rounds)
     }
 
     /// Theorem 4.3's round count for accuracy `eps` and failure probability
@@ -711,13 +669,37 @@ pub fn adaptive_over_winners(
         };
     }
     let s = max_rounds.clamp(1, winners.len());
+    adaptive_fold(winners[..s].iter().copied(), n, s, eps, delta, min_rounds)
+}
+
+/// The counting and checkpoint loop both adaptive folds share: counts the
+/// dense winner slots of `rounds` (the first `s` rounds; out-of-range
+/// slots are ignored but still count as rounds) and stops at the first
+/// checkpoint of [`stopping_schedule`] whose half-width is `≤ eps`.
+///
+/// Only slots that have won a round enter the variance max: every other
+/// count is 0 and adds `p(1 − p) = +0.0` to a max that starts at `+0.0`,
+/// so skipping them leaves `half_width` bit-identical while a checkpoint
+/// costs O(winners), not O(n).
+fn adaptive_fold(
+    rounds: impl Iterator<Item = u32>,
+    n: usize,
+    s: usize,
+    eps: f64,
+    delta: f64,
+    min_rounds: usize,
+) -> AdaptiveQuantify {
     let (first, l_hoeff, l_bern) = stopping_schedule(n, delta, min_rounds, s);
     let mut counts = vec![0u32; n];
+    let mut won: Vec<u32> = Vec::new();
     let mut used = 0usize;
     let mut next = first;
     let mut half_width = f64::INFINITY;
-    for &wr in &winners[..s] {
+    for wr in rounds.take(s) {
         if let Some(c) = counts.get_mut(wr as usize) {
+            if *c == 0 {
+                won.push(wr);
+            }
             *c += 1;
         } else {
             debug_assert!(false, "winner {wr} out of range (n = {n})");
@@ -725,7 +707,7 @@ pub fn adaptive_over_winners(
         used += 1;
         if used == next {
             unn_observe::mc_checkpoint();
-            half_width = MonteCarloIndex::stop_half_width(&counts, used, l_hoeff, l_bern);
+            half_width = stop_half_width(&counts, &won, used, l_hoeff, l_bern);
             if half_width <= eps {
                 break;
             }
@@ -733,11 +715,35 @@ pub fn adaptive_over_winners(
         }
     }
     let w = 1.0 / used as f64;
+    let mut pi = vec![0.0; n];
+    for &i in &won {
+        pi[i as usize] = f64::from(counts[i as usize]) * w;
+    }
     AdaptiveQuantify {
-        pi: counts.iter().map(|&c| c as f64 * w).collect(),
+        pi,
         rounds_used: used,
         half_width,
     }
+}
+
+/// The max-over-`i` confidence half-width after `t` rounds: the tighter of
+/// the Hoeffding bound (variance-free) and the empirical-Bernstein bound
+/// at the worst empirical variance among the `won` slots.
+fn stop_half_width(counts: &[u32], won: &[u32], t: usize, l_hoeff: f64, l_bern: f64) -> f64 {
+    let tf = t as f64;
+    let hoeff = hoeffding_half_width(t, l_hoeff);
+    if t < 2 {
+        return hoeff;
+    }
+    let vmax = won
+        .iter()
+        .map(|&i| {
+            let p = f64::from(counts[i as usize]) / tf;
+            p * (1.0 - p)
+        })
+        .fold(0.0, f64::max);
+    let bern = (2.0 * vmax * l_bern / tf).sqrt() + 7.0 * l_bern / (3.0 * (tf - 1.0));
+    hoeff.min(bern)
 }
 
 /// One-shot Monte-Carlo estimate with *fresh* instantiations drawn from

@@ -399,6 +399,9 @@ enum CallResult<T> {
 /// The serving loop over a frozen set of shard backends.
 pub struct Dispatcher {
     backends: Vec<Box<dyn ShardBackend>>,
+    /// The backends' live ids merged and sorted once per epoch: the layout
+    /// of every full-coverage Monte-Carlo reply.
+    layout: Vec<PointId>,
     exact: Option<Arc<ExactView>>,
     total_live: usize,
     s: usize,
@@ -436,7 +439,8 @@ impl Dispatcher {
             });
         }
         let n = backends.len();
-        let total_live = backends.iter().map(|b| b.live_ids().len()).sum();
+        let layout = merged_layout(&backends);
+        let total_live = layout.len();
         let s = backends.iter().map(|b| b.rounds()).max().unwrap_or(1);
         let bucket = cfg.admission.feedback.map(|fb| TokenBucket {
             tokens: fb.initial_tokens,
@@ -445,6 +449,7 @@ impl Dispatcher {
         });
         Ok(Self {
             backends,
+            layout,
             exact,
             total_live,
             s,
@@ -473,7 +478,8 @@ impl Dispatcher {
         Self::new(backends, Some(snap.exact_view()), cfg, clock)
     }
 
-    /// Swaps the backends (and exact view) for a fresh epoch while keeping
+    /// Swaps the backends, the exact view and the cached reply layout
+    /// (the snapshot's merged `live_ids`) for a fresh epoch while keeping
     /// breaker state and metrics — the serving loop under churn. Breakers
     /// are reset only if the shard count changes.
     pub fn refresh(&mut self, snap: &ShardSetSnapshot) {
@@ -485,6 +491,7 @@ impl Dispatcher {
                     as Box<dyn ShardBackend>
             })
             .collect();
+        self.layout = snap.live_ids().to_vec();
         self.exact = Some(snap.exact_view());
         self.total_live = snap.len();
         self.s = snap.mc_rounds();
@@ -513,6 +520,7 @@ impl Dispatcher {
         // serves because the slot is written back before any query runs.
         let slot = std::mem::replace(&mut self.backends[k], Box::new(EmptyShard));
         self.backends[k] = wrap(slot);
+        self.layout = merged_layout(&self.backends);
         self.exact = None;
     }
 
@@ -953,8 +961,15 @@ impl Dispatcher {
             let reply = self.shed_reply(reason, &log, failed, elapsed);
             return (reply, log);
         }
-        let mut covered: Vec<PointId> = covered_lists.concat();
-        covered.sort_unstable();
+        // Full coverage answers over the layout cached for the epoch; only
+        // a partial answer merges the covered shards' ids per query.
+        let covered = if failed.is_empty() {
+            self.layout.clone()
+        } else {
+            let mut covered: Vec<PointId> = covered_lists.concat();
+            covered.sort_unstable();
+            covered
+        };
         let n_covered = covered.len();
         let ranks = ranks_in(&covered, &acc);
         let a = adaptive_over_winners(
@@ -1052,6 +1067,16 @@ impl Dispatcher {
             }
         }
     }
+}
+
+/// The live ids of `backends`, merged and sorted ascending.
+fn merged_layout(backends: &[Box<dyn ShardBackend>]) -> Vec<PointId> {
+    let mut layout: Vec<PointId> = backends
+        .iter()
+        .flat_map(|b| b.live_ids().iter().copied())
+        .collect();
+    layout.sort_unstable();
+    layout
 }
 
 /// A permanently empty placeholder backend (used only transiently while

@@ -19,6 +19,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use unn::dynamic::PointId;
 use unn::quantify::point_stream_seed;
+use unn::AdaptiveQuantify;
 use unn_distr::{Uncertain, UncertainPoint};
 use unn_geom::{AabbSoA, Point};
 use unn_nonzero::DeltaCompose;
@@ -202,6 +203,75 @@ pub fn mc_pi(winners: &[Option<Argmin>], n: usize) -> Vec<f64> {
         *x *= w;
     }
     pi
+}
+
+/// The adaptive Monte-Carlo stopping rule over a winner sequence, from its
+/// definition: checkpoints double from `min_rounds` (clamped to `[1, s]`)
+/// and saturate at `s = max_rounds` clamped to `[1, winners.len()]`; with
+/// `K` checkpoints, `u = K·n/δ`, the Hoeffding half-width after `t`
+/// rounds is `√(ln(4u)/2t)` and the empirical-Bernstein one is
+/// `√(2·v·ln(6u)/t) + 7·ln(6u)/(3(t − 1))` at the largest `v = p(1 − p)`,
+/// `p = count/t`, over **all** `n` dense counts (Hoeffding alone at
+/// `t < 2`). The fold stops at the first checkpoint whose tighter
+/// half-width is `≤ eps`; `π̂_i = count_i · (1/t)`. Out-of-range winners
+/// count as rounds but for no slot. Mirrors
+/// [`adaptive_over_winners`](unn::quantify::adaptive_over_winners) and
+/// `MonteCarloIndex::quantify_adaptive_capped`.
+pub fn adaptive_fold(
+    winners: &[u32],
+    n: usize,
+    eps: f64,
+    delta: f64,
+    min_rounds: usize,
+    max_rounds: usize,
+) -> AdaptiveQuantify {
+    if n == 0 || winners.is_empty() {
+        return AdaptiveQuantify {
+            pi: Vec::new(),
+            rounds_used: 0,
+            half_width: 0.0,
+        };
+    }
+    let s = max_rounds.clamp(1, winners.len());
+    let mut checkpoints = vec![min_rounds.clamp(1, s)];
+    while let Some(&t) = checkpoints.last().filter(|&&t| t < s) {
+        checkpoints.push((t * 2).min(s));
+    }
+    let union = checkpoints.len() as f64 * n as f64 / delta;
+    let (l_hoeff, l_bern) = ((4.0 * union).ln(), (6.0 * union).ln());
+    let mut counts = vec![0u32; n];
+    let mut used = 0;
+    let mut half_width = f64::INFINITY;
+    for &w in &winners[..s] {
+        if let Some(c) = counts.get_mut(w as usize) {
+            *c += 1;
+        }
+        used += 1;
+        if !checkpoints.contains(&used) {
+            continue;
+        }
+        let t = used as f64;
+        let hoeff = (l_hoeff / (2.0 * t)).sqrt();
+        half_width = if used < 2 {
+            hoeff
+        } else {
+            let mut vmax = 0.0f64;
+            for &c in &counts {
+                let p = f64::from(c) / t;
+                vmax = vmax.max(p * (1.0 - p));
+            }
+            hoeff.min((2.0 * vmax * l_bern / t).sqrt() + 7.0 * l_bern / (3.0 * (t - 1.0)))
+        };
+        if half_width <= eps {
+            break;
+        }
+    }
+    let w = 1.0 / used as f64;
+    AdaptiveQuantify {
+        pi: counts.iter().map(|&c| f64::from(c) * w).collect(),
+        rounds_used: used,
+        half_width,
+    }
 }
 
 /// `NN≠0(q)` over a live set (Lemma 2.1), ascending: a [`DeltaCompose`]

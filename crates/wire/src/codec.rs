@@ -6,8 +6,20 @@
 //! claimed count: the count is validated against the bytes actually
 //! remaining (at the element's minimum serialized size) *before* any
 //! allocation, so hostile lengths cannot balloon memory.
+//!
+//! Two encodings carry more elements than bytes: a sparse `f64` vector
+//! ([`Writer::sparse_f64`]) and a `u64` sequence as runs of consecutive
+//! values ([`Writer::runs_u64`]). Their decoders debit every element they
+//! materialize from the reader's expansion budget, [`EXPANSION_BUDGET`]
+//! per frame, before allocating it, and accept only the one encoding the
+//! writer produces, so a decodable body re-encodes to the same bytes.
 
-use crate::WireError;
+use crate::{WireError, MAX_FRAME_LEN};
+
+/// Elements one frame may materialize from sparse vectors and runs:
+/// exactly what a frame at [`MAX_FRAME_LEN`] holds at 8 bytes per dense
+/// element.
+pub(crate) const EXPANSION_BUDGET: usize = MAX_FRAME_LEN / 8;
 
 /// Append-only little-endian encoder.
 #[derive(Debug, Default)]
@@ -95,12 +107,49 @@ impl Writer {
         }
     }
 
-    /// Appends an `f64` slice: `u32` count then the bit patterns.
-    pub fn vec_f64(&mut self, v: &[f64]) {
+    /// Appends an `f64` slice in sparse form: `u32` length, `u32` count,
+    /// then `(u32 slot, u64 bits)` in slot order for every entry whose bit
+    /// pattern is not `+0.0` (so `−0.0`, NaNs and subnormals travel too).
+    /// One pass; the count is patched in behind it.
+    pub fn sparse_f64(&mut self, v: &[f64]) {
         self.u32(v.len() as u32);
-        for &x in v {
-            self.f64(x);
+        let at = self.buf.len();
+        self.u32(0);
+        let mut count = 0u32;
+        for (slot, &x) in v.iter().enumerate() {
+            let bits = x.to_bits();
+            if bits != 0 {
+                self.u32(slot as u32);
+                self.u64(bits);
+                count += 1;
+            }
         }
+        self.buf[at..at + 4].copy_from_slice(&count.to_le_bytes());
+    }
+
+    /// Appends a `u64` sequence as maximal runs of consecutive values:
+    /// `u32` run count, then `(u64 start, u32 len)` per run. Any sequence
+    /// encodes; a sorted set of ids with no holes is a single run. One
+    /// pass; the run count is patched in behind it.
+    pub fn runs_u64(&mut self, v: &[u64]) {
+        let at = self.buf.len();
+        self.u32(0);
+        let mut runs = 0u32;
+        let mut rest = v;
+        while let Some((&start, tail)) = rest.split_first() {
+            let mut len = 1u32;
+            for &x in tail {
+                if len == u32::MAX || start.checked_add(u64::from(len)) != Some(x) {
+                    break;
+                }
+                len += 1;
+            }
+            self.u64(start);
+            self.u32(len);
+            runs += 1;
+            rest = &rest[len as usize..];
+        }
+        self.buf[at..at + 4].copy_from_slice(&runs.to_le_bytes());
     }
 }
 
@@ -109,12 +158,19 @@ impl Writer {
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Elements sparse vectors and runs may still materialize.
+    budget: usize,
 }
 
 impl<'a> Reader<'a> {
-    /// A reader over `buf` starting at offset 0.
+    /// A reader over `buf` starting at offset 0, with a full expansion
+    /// budget.
     pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+        Self {
+            buf,
+            pos: 0,
+            budget: EXPANSION_BUDGET,
+        }
     }
 
     /// Bytes not yet consumed.
@@ -226,12 +282,66 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    /// Reads a length-prefixed `f64` vector.
-    pub fn vec_f64(&mut self, what: &'static str) -> Result<Vec<f64>, WireError> {
-        let n = self.count(what, 8)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.f64(what)?);
+    /// Debits `n` materialized elements from the expansion budget.
+    fn expand(&mut self, what: &'static str, n: usize) -> Result<(), WireError> {
+        if n > self.budget {
+            return Err(WireError::LengthOverflow {
+                what,
+                len: n as u64,
+                cap: self.budget as u64,
+            });
+        }
+        self.budget -= n;
+        Ok(())
+    }
+
+    /// Reads an `f64` vector in the sparse form of [`Writer::sparse_f64`].
+    /// The dense length is debited from the expansion budget before the
+    /// vector is allocated; slots must be strictly increasing and below
+    /// the length, and a stored `+0.0` is rejected (the writer omits it).
+    pub fn sparse_f64(&mut self, what: &'static str) -> Result<Vec<f64>, WireError> {
+        let len = self.u32(what)? as usize;
+        self.expand(what, len)?;
+        let count = self.count(what, 12)?;
+        let mut out = vec![0.0; len];
+        let mut next = 0usize;
+        for _ in 0..count {
+            let slot = self.u32(what)? as usize;
+            let bits = self.u64(what)?;
+            if slot < next || slot >= len || bits == 0 {
+                return Err(WireError::InvalidValue { what });
+            }
+            out[slot] = f64::from_bits(bits);
+            next = slot + 1;
+        }
+        Ok(out)
+    }
+
+    /// Reads a `u64` sequence in the run form of [`Writer::runs_u64`]. Each
+    /// run is debited from the expansion budget before it is expanded; a
+    /// zero-length run, a run whose last value overflows `u64`, and a run
+    /// that continues the previous one (the writer would have merged them)
+    /// are rejected.
+    pub fn runs_u64(&mut self, what: &'static str) -> Result<Vec<u64>, WireError> {
+        let runs = self.count(what, 12)?;
+        let mut out = Vec::with_capacity(runs);
+        // The value right after the previous run's last one, if any.
+        let mut follow: Option<u64> = None;
+        for _ in 0..runs {
+            let start = self.u64(what)?;
+            let len = self.u32(what)?;
+            let Some(last) = len
+                .checked_sub(1)
+                .and_then(|extra| start.checked_add(u64::from(extra)))
+            else {
+                return Err(WireError::InvalidValue { what });
+            };
+            if follow == Some(start) {
+                return Err(WireError::InvalidValue { what });
+            }
+            self.expand(what, len as usize)?;
+            out.extend(start..=last);
+            follow = last.checked_add(1);
         }
         Ok(out)
     }
@@ -264,7 +374,8 @@ mod tests {
         w.bool(true);
         w.str("héllo");
         w.vec_u64(&[1, 2, 3]);
-        w.vec_f64(&[0.5, f64::INFINITY]);
+        w.sparse_f64(&[0.5, 0.0, -0.0, f64::INFINITY, 0.0]);
+        w.runs_u64(&[4, 5, 6, 9, u64::MAX - 1, u64::MAX, 0]);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(r.u8("a").ok(), Some(7));
@@ -276,7 +387,15 @@ mod tests {
         assert_eq!(r.bool("g").ok(), Some(true));
         assert_eq!(r.str("h").ok().as_deref(), Some("héllo"));
         assert_eq!(r.vec_u64("i").ok(), Some(vec![1, 2, 3]));
-        assert_eq!(r.vec_f64("j").ok(), Some(vec![0.5, f64::INFINITY]));
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(
+            r.sparse_f64("j").ok().map(bits),
+            Some(bits(vec![0.5, 0.0, -0.0, f64::INFINITY, 0.0]))
+        );
+        assert_eq!(
+            r.runs_u64("k").ok(),
+            Some(vec![4, 5, 6, 9, u64::MAX - 1, u64::MAX, 0])
+        );
         assert!(r.expect_end().is_ok());
     }
 

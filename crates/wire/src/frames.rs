@@ -4,8 +4,8 @@ use unn_dynamic::PointId;
 use unn_geom::Point;
 use unn_serve::{Outcome, Reply, Request, ShedReason};
 
-use crate::codec::{Reader, Writer};
-use crate::{tag, WireError, ANY_EPOCH, MAGIC, WIRE_VERSION};
+use crate::codec::{Reader, Writer, EXPANSION_BUDGET};
+use crate::{tag, WireError, ANY_EPOCH, MAGIC, MAX_FRAME_LEN, WIRE_VERSION};
 
 /// Client handshake: magic, protocol version, expected index epoch
 /// ([`ANY_EPOCH`] = accept whatever the server holds).
@@ -39,7 +39,8 @@ pub struct HelloAck {
     pub mc_rounds: u64,
 }
 
-/// Typed protocol-level errors a server sends before closing.
+/// Typed protocol-level errors a server sends. Every code but
+/// [`ErrorCode::TooLarge`] closes the connection behind it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ErrorCode {
     /// The peer's protocol version is not ours.
@@ -50,6 +51,10 @@ pub enum ErrorCode {
     Malformed,
     /// The server could not serve (internal failure).
     Internal,
+    /// The reply batch exceeds a limit [`decode_frame`] enforces (see
+    /// [`encode_frame_checked`]); `ours` is the cap, `theirs` the length.
+    /// Re-sending the same batch cannot succeed.
+    TooLarge,
 }
 
 impl ErrorCode {
@@ -59,6 +64,7 @@ impl ErrorCode {
             ErrorCode::EpochMismatch => 1,
             ErrorCode::Malformed => 2,
             ErrorCode::Internal => 3,
+            ErrorCode::TooLarge => 4,
         }
     }
 
@@ -68,6 +74,7 @@ impl ErrorCode {
             1 => ErrorCode::EpochMismatch,
             2 => ErrorCode::Malformed,
             3 => ErrorCode::Internal,
+            4 => ErrorCode::TooLarge,
             _ => {
                 return Err(WireError::UnknownTag {
                     what: "error code",
@@ -172,6 +179,47 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             w.str(&e.detail);
             w.into_bytes()
         }
+    }
+}
+
+/// [`encode_frame`] under the limits [`decode_frame`] enforces: the
+/// elements a [`ReplyBatch`]'s π vectors and layouts expand to stay within
+/// the decoder's expansion budget (`MAX_FRAME_LEN / 8` per frame, checked
+/// before encoding), and the body within [`MAX_FRAME_LEN`]. A frame that
+/// fails either check is one no peer could decode; both failures are
+/// [`WireError::LengthOverflow`].
+pub fn encode_frame_checked(frame: &Frame) -> Result<Vec<u8>, WireError> {
+    if let Frame::ReplyBatch(b) = frame {
+        let expanded: usize = b
+            .replies
+            .iter()
+            .map(|r| outcome_pi(&r.outcome).map_or(0, <[f64]>::len) + r.layout.len())
+            .sum();
+        if expanded > EXPANSION_BUDGET {
+            return Err(WireError::LengthOverflow {
+                what: "reply batch expansion",
+                len: expanded as u64,
+                cap: EXPANSION_BUDGET as u64,
+            });
+        }
+    }
+    let body = encode_frame(frame);
+    if body.len() > MAX_FRAME_LEN {
+        return Err(WireError::LengthOverflow {
+            what: "frame body",
+            len: body.len() as u64,
+            cap: MAX_FRAME_LEN as u64,
+        });
+    }
+    Ok(body)
+}
+
+fn outcome_pi(outcome: &Outcome) -> Option<&[f64]> {
+    match outcome {
+        Outcome::Exact { pi } | Outcome::Adaptive { pi, .. } | Outcome::Capped { pi, .. } => {
+            Some(pi)
+        }
+        Outcome::Nonzero { .. } | Outcome::Shed { .. } => None,
     }
 }
 
@@ -307,7 +355,7 @@ fn encode_outcome(w: &mut Writer, outcome: &Outcome) {
         }
         Outcome::Exact { pi } => {
             w.u8(1);
-            w.vec_f64(pi);
+            w.sparse_f64(pi);
         }
         Outcome::Adaptive {
             pi,
@@ -315,7 +363,7 @@ fn encode_outcome(w: &mut Writer, outcome: &Outcome) {
             rounds_used,
         } => {
             w.u8(2);
-            w.vec_f64(pi);
+            w.sparse_f64(pi);
             w.f64(*achieved_epsilon);
             w.usize(*rounds_used);
         }
@@ -325,7 +373,7 @@ fn encode_outcome(w: &mut Writer, outcome: &Outcome) {
             rounds_used,
         } => {
             w.u8(3);
-            w.vec_f64(pi);
+            w.sparse_f64(pi);
             w.f64(*achieved_epsilon);
             w.usize(*rounds_used);
         }
@@ -342,15 +390,15 @@ fn decode_outcome(r: &mut Reader<'_>) -> Result<Outcome, WireError> {
             ids: r.vec_u64("nonzero ids")?,
         },
         1 => Outcome::Exact {
-            pi: r.vec_f64("exact pi")?,
+            pi: r.sparse_f64("exact pi")?,
         },
         2 => Outcome::Adaptive {
-            pi: r.vec_f64("adaptive pi")?,
+            pi: r.sparse_f64("adaptive pi")?,
             achieved_epsilon: r.f64("adaptive epsilon")?,
             rounds_used: r.usize("adaptive rounds_used")?,
         },
         3 => Outcome::Capped {
-            pi: r.vec_f64("capped pi")?,
+            pi: r.sparse_f64("capped pi")?,
             achieved_epsilon: r.f64("capped epsilon")?,
             rounds_used: r.usize("capped rounds_used")?,
         },
@@ -366,11 +414,13 @@ fn decode_outcome(r: &mut Reader<'_>) -> Result<Outcome, WireError> {
     })
 }
 
-/// Encodes one [`Reply`] into `w`, field for field. `f64`s travel as bit
-/// patterns, so a decoded reply is bit-identical to the encoded one.
+/// Encodes one [`Reply`] into `w`, field for field: π sparse
+/// ([`Writer::sparse_f64`]), the layout as runs ([`Writer::runs_u64`]),
+/// NN≠0 ids dense. `f64`s travel as bit patterns, so a decoded reply is
+/// bit-identical to the encoded one.
 pub fn encode_reply_body(w: &mut Writer, reply: &Reply) {
     encode_outcome(w, &reply.outcome);
-    w.vec_u64(&reply.layout);
+    w.runs_u64(&reply.layout);
     w.u32(reply.failed_shards.len() as u32);
     for &k in &reply.failed_shards {
         w.usize(k);
@@ -385,7 +435,7 @@ pub fn encode_reply_body(w: &mut Writer, reply: &Reply) {
 /// Decodes one [`Reply`] from `r`.
 pub fn decode_reply_body(r: &mut Reader<'_>) -> Result<Reply, WireError> {
     let outcome = decode_outcome(r)?;
-    let layout: Vec<PointId> = r.vec_u64("reply layout")?;
+    let layout: Vec<PointId> = r.runs_u64("reply layout")?;
     let n_failed = r.count("failed shards", 8)?;
     let mut failed_shards = Vec::with_capacity(n_failed);
     for _ in 0..n_failed {

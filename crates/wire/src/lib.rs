@@ -17,11 +17,23 @@
 //!   remaining-budget deadline in nanoseconds, and [`unn_serve::Reply`]
 //!   batches come back field-for-field, `f64`s as IEEE bit patterns —
 //!   decoding an encoded reply reproduces the in-process value bit for bit.
+//!   Scalars are fixed-width; strings and `NN≠0` ids are u32-count-prefixed.
+//!   A reply's two n-sized fields are sized by their content instead: π
+//!   travels sparse (its entries that are not `+0.0`, see
+//!   [`Writer::sparse_f64`]) and the layout as runs of consecutive ids
+//!   ([`Writer::runs_u64`]), so a Monte-Carlo reply costs O(winners)
+//!   bytes, not O(n).
 //! * **Totality** — the decoder never panics on arbitrary, truncated, or
 //!   corrupt input: every read is bounds-checked, every enum tag and
 //!   length is validated, and failures surface as typed [`WireError`]s.
 //!   Collection lengths are checked against the bytes actually remaining
-//!   before any allocation, so hostile counts cannot balloon memory.
+//!   before any allocation, so hostile counts cannot balloon memory; the
+//!   sparse and run forms, which expand, draw on a budget of
+//!   `MAX_FRAME_LEN / 8` elements per frame. Decoding is canonical: a
+//!   body that decodes re-encodes to the same bytes.
+//! * **Limits on the sending side** — [`encode_frame_checked`] applies the
+//!   decoder's limits before a frame is sent; a server answers a reply
+//!   batch beyond them with [`ErrorCode::TooLarge`].
 //!
 //! Compatibility contract: [`WIRE_VERSION`] bumps on any layout change
 //! (frames carry no per-field tags, so layout is the version). Both sides
@@ -36,14 +48,15 @@ mod frames;
 
 pub use codec::{Reader, Writer};
 pub use frames::{
-    decode_frame, decode_reply_body, decode_request_body, encode_frame, encode_reply_body,
-    encode_request_body, ErrorCode, ErrorFrame, Frame, Hello, HelloAck, ReplyBatch, RequestBatch,
+    decode_frame, decode_reply_body, decode_request_body, encode_frame, encode_frame_checked,
+    encode_reply_body, encode_request_body, ErrorCode, ErrorFrame, Frame, Hello, HelloAck,
+    ReplyBatch, RequestBatch,
 };
 
 use std::fmt;
 
 /// Protocol version; bumped on any frame-layout change.
-pub const WIRE_VERSION: u16 = 1;
+pub const WIRE_VERSION: u16 = 2;
 
 /// Handshake magic: `b"UNNW"` little-endian.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"UNNW");
@@ -184,8 +197,8 @@ pub fn frame_split(buf: &[u8]) -> Result<Option<(&[u8], usize)>, WireError> {
 /// Wraps a frame body in the `u32 LE` length prefix.
 ///
 /// Bodies above [`MAX_FRAME_LEN`] cannot be represented; the body is
-/// truncated to an empty (invalid, always-rejected) frame instead — callers
-/// building frames from this crate's encoders never hit the cap.
+/// truncated to an empty (invalid, always-rejected) frame instead. Encode
+/// with [`encode_frame_checked`] to learn that before sending.
 pub fn frame_bytes(body: &[u8]) -> Vec<u8> {
     if body.is_empty() || body.len() > MAX_FRAME_LEN {
         debug_assert!(false, "frame body must be 1..={MAX_FRAME_LEN} bytes");

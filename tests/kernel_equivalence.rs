@@ -15,16 +15,21 @@
 //! [`KdTree::prune_with_cap`] may skip contract-dead points, so it is
 //! checked by its fold outputs (`delta_min`, `prune_bound`, `cap_for`),
 //! which must equal a fold over every point.
+//!
+//! The adaptive Monte-Carlo stopping rule scans only the slots that have
+//! won a round; [`brute::adaptive_fold`] scans every dense count, and the
+//! two must agree bit for bit.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use unn::dynamic::DynamicPnnConfig;
+use unn::AdaptiveQuantify;
 use unn::PnnConfig;
 use unn_distr::{Uncertain, UncertainPoint};
 use unn_geom::{Aabb, AabbSoA, Disk, Point};
 use unn_nonzero::DiskNonzeroIndex;
-use unn_quantify::{McBackend, MonteCarloIndex};
+use unn_quantify::{adaptive_over_winners, McBackend, MonteCarloIndex};
 use unn_spatial::{KdConfig, KdForest, KdTree, Neighbor};
 use unn_testkit::brute::{self, Argmin};
 use unn_testkit::sig::{configs, kd_signature, prune_fold_start};
@@ -255,9 +260,140 @@ fn check_montecarlo(points: &[Uncertain], seed: u64) {
     }
 }
 
+/// `π̂` bits, rounds used and half-width bits of an adaptive fold.
+fn fold_bits(a: &AdaptiveQuantify) -> (Vec<u64>, usize, u64) {
+    let pi = a.pi.iter().map(|p| p.to_bits()).collect();
+    (pi, a.rounds_used, a.half_width.to_bits())
+}
+
+/// Winner sequences of `s` rounds over `n` slots: one slot every round,
+/// round-robin (tied counts), a two-way even split (tied, and the largest
+/// variance), one slot with rare others, and uniform random.
+fn winner_kinds(n: usize, s: usize, seed: u64) -> Vec<Vec<u32>> {
+    let n32 = n as u32;
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let one = (seed % n as u64) as u32;
+    vec![
+        vec![one; s],
+        (0..s).map(|r| (r % n) as u32).collect(),
+        (0..s).map(|r| ((r % 2) as u32 + one) % n32).collect(),
+        (0..s)
+            .map(|_| {
+                if rng.random_range(0..16u32) == 0 {
+                    rng.random_range(0..n32)
+                } else {
+                    one
+                }
+            })
+            .collect(),
+        (0..s).map(|_| rng.random_range(0..n32)).collect(),
+    ]
+}
+
+/// `adaptive_over_winners` against the dense reference at `eps` and at
+/// an `eps` below every checkpoint's half-width, for `n` slots.
+fn check_adaptive_fold(
+    winners: &[u32],
+    n: usize,
+    eps: f64,
+    delta: f64,
+    min_rounds: usize,
+    cap: usize,
+) -> Result<(), TestCaseError> {
+    for eps in [eps, f64::MIN_POSITIVE] {
+        let got = adaptive_over_winners(winners, n, eps, delta, min_rounds, cap);
+        let want = brute::adaptive_fold(winners, n, eps, delta, min_rounds, cap);
+        prop_assert_eq!(
+            fold_bits(&got),
+            fold_bits(&want),
+            "n={} s={} eps={} cap={}",
+            n,
+            winners.len(),
+            eps,
+            cap
+        );
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------------------
 // Random corpora (proptest)
 // ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The winner-only stopping scan equals the dense one over every
+    /// winner kind, plus the edge shapes n = 1 and s = 1.
+    #[test]
+    fn adaptive_fold_matches_dense_reference(
+        n in 1usize..300,
+        s in 1usize..700,
+        min_rounds in 1usize..80,
+        cap_extra in 0usize..40,
+        eps in 0.001f64..0.5,
+        delta in 0.001f64..0.5,
+        seed in 0u64..1_000_000,
+    ) {
+        // A cap above `s` clamps to the rounds available.
+        let cap = (seed as usize % s + 1) + cap_extra;
+        for winners in winner_kinds(n, s, seed) {
+            check_adaptive_fold(&winners, n, eps, delta, min_rounds, cap)?;
+        }
+        for winners in winner_kinds(1, s, seed) {
+            check_adaptive_fold(&winners, 1, eps, delta, min_rounds, cap)?;
+        }
+        for winners in winner_kinds(n, 1, seed) {
+            check_adaptive_fold(&winners, n, eps, delta, min_rounds, cap)?;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// `quantify_adaptive_capped` equals the dense reference fed the
+    /// winners of a replay of the build's draws, on the prefetched
+    /// (`cap = s`) and the incremental (`cap < s`) path.
+    #[test]
+    fn indexed_adaptive_fold_matches_dense_reference(
+        n in 1usize..16,
+        seed in 0u64..1_000_000,
+    ) {
+        let points = corpus::uniform_disks(n, seed ^ 0xD15C, 0.3, 2.5);
+        let s = 96;
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xADA9);
+        let index = MonteCarloIndex::build(&points, s, McBackend::KdTree, &mut rng);
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xADA9);
+        let rounds = brute::mc_rounds(&points, s, &mut rng);
+        let mut prng = SmallRng::seed_from_u64(seed);
+        for q in corpus::query_points(6, seed ^ 0x7, 25.0) {
+            let argmins = brute::mc_winners(&rounds, q);
+            // A tied round may go to any tied object; compare untied ones.
+            let winners: Option<Vec<u32>> = argmins
+                .iter()
+                .map(|w| w.as_ref().filter(|w| w.ties.len() == 1).map(|w| w.ties[0] as u32))
+                .collect();
+            let Some(winners) = winners else { continue };
+            let min_rounds = prng.random_range(1..48usize);
+            let delta = prng.random_range(0.001..0.5);
+            for cap in [s, prng.random_range(1..s)] {
+                for eps in [prng.random_range(0.01..0.5), f64::MIN_POSITIVE] {
+                    let got = index.quantify_adaptive_capped(q, eps, delta, min_rounds, cap);
+                    let want = brute::adaptive_fold(&winners, n, eps, delta, min_rounds, cap);
+                    prop_assert_eq!(
+                        fold_bits(&got),
+                        fold_bits(&want),
+                        "q={:?} cap={} eps={}",
+                        q,
+                        cap,
+                        eps
+                    );
+                }
+            }
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]

@@ -50,7 +50,7 @@ fn random_vec_u64(rng: &mut SmallRng, max_len: usize) -> Vec<u64> {
     (0..len).map(|_| rng.random_range(0..=u64::MAX)).collect()
 }
 
-fn random_vec_f64(rng: &mut SmallRng, max_len: usize) -> Vec<f64> {
+fn random_f64s(rng: &mut SmallRng, max_len: usize) -> Vec<f64> {
     let len = rng.random_range(0..max_len);
     (0..len).map(|_| random_f64(rng)).collect()
 }
@@ -61,15 +61,15 @@ fn random_outcome(rng: &mut SmallRng) -> Outcome {
             ids: random_vec_u64(rng, 8),
         },
         1 => Outcome::Exact {
-            pi: random_vec_f64(rng, 8),
+            pi: random_f64s(rng, 8),
         },
         2 => Outcome::Adaptive {
-            pi: random_vec_f64(rng, 8),
+            pi: random_f64s(rng, 8),
             achieved_epsilon: random_f64(rng),
             rounds_used: rng.random_range(0..1_000_000usize),
         },
         3 => Outcome::Capped {
-            pi: random_vec_f64(rng, 8),
+            pi: random_f64s(rng, 8),
             achieved_epsilon: random_f64(rng),
             rounds_used: rng.random_range(0..1_000_000usize),
         },
@@ -217,7 +217,7 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let outcome = if rng.random_bool(0.5) {
             QuantifyOutcome::Exact {
-                pi: random_vec_f64(&mut rng, 8),
+                pi: random_f64s(&mut rng, 8),
                 method: match rng.random_range(0..4u32) {
                     0 => QuantifyMethod::Spiral,
                     1 => QuantifyMethod::MonteCarlo { achieved_epsilon: random_f64(&mut rng) },
@@ -228,7 +228,7 @@ proptest! {
             }
         } else {
             QuantifyOutcome::Degraded {
-                pi: random_vec_f64(&mut rng, 8),
+                pi: random_f64s(&mut rng, 8),
                 achieved_epsilon: random_f64(&mut rng),
                 rounds_used: rng.random_range(0..1_000_000usize),
                 work: rng.random_range(0..=u64::MAX),
