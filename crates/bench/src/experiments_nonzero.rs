@@ -344,13 +344,16 @@ pub fn t7_queries(scale: u32) -> Table {
 }
 
 /// T15: the extension structures — guaranteed Voronoi (`[SE08]`), `L∞`
-/// queries (§3 remark (ii)), the Apollonius diagram `𝕄`, and probabilistic
-/// k-NN membership.
+/// queries (§3 remark (ii)), the Apollonius diagram `𝕄`, probabilistic
+/// k-NN membership, and (E16) the part-I expected-distance NN and its
+/// certified Voronoi diagram.
 pub fn t15_extensions(scale: u32) -> Table {
+    use crate::util::{as_uncertain, random_discrete};
     use unn::geom::Disk;
     use unn::nonzero::{ApolloniusDiagram, GuaranteedNnIndex, LinfNonzeroIndex};
+    use unn::{ExpectedNnIndex, ExpectedVoronoi};
     let mut t = Table::new(
-        "T15: extensions — guaranteed NN, L-infinity, Apollonius, kNN membership",
+        "T15: extensions — guaranteed NN, L-infinity, Apollonius, kNN membership, expected-distance NN",
         &["structure", "n", "metric / param", "result"],
     );
     let ns: &[usize] = if scale >= 2 {
@@ -435,7 +438,7 @@ pub fn t15_extensions(scale: u32) -> Table {
     ));
 
     // kNN membership sums to k (exact DP).
-    let objs = crate::util::random_discrete(12, 3, 40.0, 3.0, 2.0, 8200);
+    let objs = random_discrete(12, 3, 40.0, 3.0, 2.0, 8200);
     let q = Point::new(20.0, 20.0);
     let sums: Vec<String> = (1..=4)
         .map(|k| {
@@ -448,6 +451,70 @@ pub fn t15_extensions(scale: u32) -> Table {
         "12".into(),
         "exact DP".into(),
         sums.join(", "),
+    ]);
+
+    // E16, the part-I expected-distance structures: branch-and-bound NN
+    // against the linear scan, then the certified expected Voronoi diagram.
+    let expected_workload = |n: usize, seed: u64| {
+        let side = (n as f64).sqrt() * 6.0;
+        let points = as_uncertain(&random_discrete(n, 4, side, 2.0, 2.0, seed));
+        (points, side)
+    };
+    for &n in ns {
+        let (points, side) = expected_workload(n, 80 + n as u64);
+        let idx = ExpectedNnIndex::build(&points);
+        let queries = random_queries(128, side, 81 + n as u64);
+        let agree = queries
+            .iter()
+            .filter(|&&q| idx.expected_nn(q) == idx.expected_nn_naive(q))
+            .count();
+        let mut qi = 0usize;
+        let bb_us = time_per_call_us(300, || {
+            let q = queries[qi % queries.len()];
+            qi += 1;
+            idx.expected_nn(q)
+        });
+        let mut qi = 0usize;
+        let naive_us = time_per_call_us(300, || {
+            let q = queries[qi % queries.len()];
+            qi += 1;
+            idx.expected_nn_naive(q)
+        });
+        t.row(vec![
+            "expected-distance NN".into(),
+            n.to_string(),
+            "branch&bound vs naive".into(),
+            format!(
+                "{bb_us:.2} vs {naive_us:.1} us/query ({:.0}x), {agree}/{} agree",
+                naive_us / bb_us,
+                queries.len()
+            ),
+        ]);
+    }
+    let (points, side) = expected_workload(200, 90);
+    let bbox = Aabb::new(Point::new(0.0, 0.0), Point::new(side, side));
+    let (evd, build_ms) = time_ms(|| ExpectedVoronoi::build(&points, bbox, side / 256.0));
+    let idx = ExpectedNnIndex::build(&points);
+    let queries = random_queries(128, side, 91);
+    let agree = queries
+        .iter()
+        .filter(|&&q| idx.expected_nn(q) == Some(evd.query(q)))
+        .count();
+    let mut qi = 0usize;
+    let evd_us = time_per_call_us(300, || {
+        let q = queries[qi % queries.len()];
+        qi += 1;
+        evd.query(q)
+    });
+    t.row(vec![
+        "expected Voronoi (certified)".into(),
+        "200".into(),
+        "resolution side/256".into(),
+        format!(
+            "build {build_ms:.0} ms, {evd_us:.2} us/query, {:.1}% certified, {agree}/{} agree",
+            100.0 * evd.certified_fraction(),
+            queries.len()
+        ),
     ]);
     let _ = Disk::new(Point::ORIGIN, 1.0);
     t

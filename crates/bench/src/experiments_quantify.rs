@@ -457,24 +457,37 @@ pub fn t14_ablations(scale: u32) -> Table {
         format!("R-tree branch&prune [CKP04] {bp_nn:.1}"),
     ]);
 
-    // (5) exact sweep vs O(Nn) recompute.
-    let big = random_discrete(if scale >= 2 { 400 } else { 100 }, 4, 100.0, 3.0, 2.0, 7404);
-    let mut qi = 0;
-    let sweep_us = time_per_call_us(20, || {
-        let q = queries[qi % queries.len()];
-        qi += 1;
-        quantification_exact(&big, q)
-    });
-    let mut qi = 0;
-    let recompute_us = time_per_call_us(20, || {
-        let q = queries[qi % queries.len()];
-        qi += 1;
-        quantification_exact_recompute(&big, q)
-    });
-    t.row(vec![
-        format!("exact pi evaluation (n={}) us/query", big.len()),
-        format!("sweep {sweep_us:.0}"),
-        format!("recompute {recompute_us:.0}"),
-    ]);
+    // (5) exact sweep vs O(Nn) recompute, at growing n.
+    let sizes: &[usize] = if scale >= 2 {
+        &[100, 400, 1_600]
+    } else {
+        &[100, 400]
+    };
+    let mut ratios = Vec::new();
+    for &n in sizes {
+        let big = random_discrete(n, 4, 100.0, 3.0, 2.0, 7404);
+        let mut qi = 0;
+        let sweep_us = time_per_call_us(queries.len(), || {
+            let q = queries[qi % queries.len()];
+            qi += 1;
+            quantification_exact(&big, q)
+        });
+        let mut qi = 0;
+        let recompute_us = time_per_call_us(queries.len(), || {
+            let q = queries[qi % queries.len()];
+            qi += 1;
+            quantification_exact_recompute(&big, q)
+        });
+        t.row(vec![
+            format!("exact pi evaluation (n={n}) us/query"),
+            format!("sweep {sweep_us:.0}"),
+            format!("recompute {recompute_us:.0}"),
+        ]);
+        ratios.push(format!("{:.2}x at n={n}", recompute_us / sweep_us));
+    }
+    t.note(format!(
+        "recompute / sweep: {} (O(Nn) vs O(N log N): the ratio should grow with n)",
+        ratios.join(", ")
+    ));
     t
 }

@@ -1,8 +1,9 @@
 //! # unn-bench — experiment harness for the paper reproduction
 //!
-//! One function per experiment table (E1–E14, see DESIGN.md §3 and
-//! EXPERIMENTS.md); the `harness` binary renders them all. Criterion
-//! micro-benchmarks live under `benches/`.
+//! One function per experiment table (T1–T15, covering E1–E16 of DESIGN.md
+//! §3; see EXPERIMENTS.md); the `harness` binary renders them all. The
+//! other bins write the `BENCH_*.json` files, and `src/bin/bench_e2e` is
+//! the end-to-end serving benchmark, a package of its own.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -6,8 +6,8 @@ use std::sync::Arc;
 use unn_observe::Clock;
 use unn_serve::{Reply, Request, RetryPolicy};
 use unn_wire::{
-    decode_frame, encode_frame, frame_bytes, ErrorCode, Frame, Hello, HelloAck, RequestBatch,
-    ANY_EPOCH, WIRE_VERSION,
+    decode_frame, encode_frame, encode_frame_checked, frame_bytes, ErrorCode, Frame, Hello,
+    HelloAck, RequestBatch, WireError, ANY_EPOCH, WIRE_VERSION,
 };
 
 use crate::{Duplex, NetError};
@@ -133,7 +133,9 @@ impl NetClient {
     /// subtracted — so the server's admission ladder sees the deadline the
     /// client actually has left, and its degraded answers stay honest
     /// across the wire. Transport failures retry on a fresh connection per
-    /// [`ClientConfig::retry`]; handshake rejections do not.
+    /// [`ClientConfig::retry`]; handshake rejections do not. A batch that
+    /// encodes past the wire's limits fails with [`NetError::TooLarge`]
+    /// before anything is sent, and leaves the connection as it was.
     pub fn serve_within(
         &mut self,
         requests: &[Request],
@@ -160,7 +162,15 @@ impl NetClient {
             } else {
                 budget_nanos - elapsed
             };
-            match self.try_once(requests, remaining, &mut modeled_nanos) {
+            let batch = encode_frame_checked(&Frame::RequestBatch(RequestBatch {
+                budget_nanos: remaining,
+                requests: requests.to_vec(),
+            }))
+            .map_err(|e| match e {
+                WireError::LengthOverflow { len, cap, .. } => NetError::TooLarge { len, cap },
+                other => NetError::Wire(other),
+            })?;
+            match self.try_once(requests, &batch, &mut modeled_nanos) {
                 Ok(replies) => return Ok(replies),
                 Err(e) => {
                     // Any failed attempt invalidates the connection: the
@@ -180,18 +190,14 @@ impl NetClient {
     fn try_once(
         &mut self,
         requests: &[Request],
-        budget_nanos: u64,
+        batch: &[u8],
         modeled_nanos: &mut u64,
     ) -> Result<Vec<Reply>, NetError> {
         self.connect()?;
         let Some(conn) = self.conn.as_mut() else {
             return Err(NetError::ConnectionClosed);
         };
-        let batch = Frame::RequestBatch(RequestBatch {
-            budget_nanos,
-            requests: requests.to_vec(),
-        });
-        send_frame(conn.as_mut(), &batch, &mut self.stats)?;
+        send_body(conn.as_mut(), batch, &mut self.stats)?;
         *modeled_nanos = modeled_nanos.saturating_add(conn.take_injected_nanos());
         let body = conn.read_frame()?;
         self.stats.frames_in += 1;
@@ -225,16 +231,11 @@ impl NetClient {
     }
 }
 
-fn send_frame(
-    conn: &mut dyn Duplex,
-    frame: &Frame,
-    stats: &mut ClientStats,
-) -> Result<(), NetError> {
-    let body = encode_frame(frame);
+fn send_body(conn: &mut dyn Duplex, body: &[u8], stats: &mut ClientStats) -> Result<(), NetError> {
     stats.frames_out += 1;
     stats.bytes_out += body.len() as u64;
     unn_observe::net_frame_out(body.len() as u64);
-    conn.write(&frame_bytes(&body))
+    conn.write(&frame_bytes(body))
 }
 
 fn handshake(
@@ -246,7 +247,7 @@ fn handshake(
         version: WIRE_VERSION,
         expected_epoch: cfg.expected_epoch,
     });
-    send_frame(conn.as_mut(), &hello, stats)?;
+    send_body(conn.as_mut(), &encode_frame(&hello), stats)?;
     let body = conn.read_frame()?;
     stats.frames_in += 1;
     stats.bytes_in += body.len() as u64;

@@ -105,12 +105,21 @@ pub enum NetError {
         /// What was unexpected.
         what: String,
     },
+    /// The request batch encodes past a limit the peer's decoder enforces
+    /// (see [`unn_wire::encode_frame_checked`]); nothing was sent.
+    TooLarge {
+        /// The encoded length.
+        len: u64,
+        /// The limit it exceeds.
+        cap: u64,
+    },
 }
 
 impl NetError {
     /// True when a retry on a fresh connection could plausibly succeed.
-    /// Handshake rejections, an exhausted budget and a reply the server
-    /// refused as [`ErrorCode::TooLarge`] are permanent.
+    /// Handshake rejections, an exhausted budget, a request batch too
+    /// large to send and a reply the server refused as
+    /// [`ErrorCode::TooLarge`] are permanent.
     pub fn retryable(&self) -> bool {
         match self {
             NetError::Io { .. }
@@ -120,7 +129,9 @@ impl NetError {
             NetError::Remote { code, .. } => {
                 matches!(code, ErrorCode::Malformed | ErrorCode::Internal)
             }
-            NetError::Handshake { .. } | NetError::BudgetExhausted { .. } => false,
+            NetError::Handshake { .. }
+            | NetError::BudgetExhausted { .. }
+            | NetError::TooLarge { .. } => false,
         }
     }
 }
@@ -145,6 +156,9 @@ impl fmt::Display for NetError {
                 write!(f, "deadline budget of {budget_nanos} ns exhausted")
             }
             NetError::Protocol { what } => write!(f, "protocol violation: {what}"),
+            NetError::TooLarge { len, cap } => {
+                write!(f, "request batch of {len} exceeds cap {cap}; not sent")
+            }
         }
     }
 }

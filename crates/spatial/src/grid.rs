@@ -1,8 +1,8 @@
 //! Uniform grid index over points.
 //!
-//! A third backend for neighborhood queries, used by the ablation benches:
-//! constant-time bucketing beats trees on uniformly distributed data but
-//! degrades under clustering. Cells are square with a caller-chosen size.
+//! A third backend for neighborhood queries: constant-time bucketing beats
+//! trees on uniformly distributed data but degrades under clustering.
+//! Cells are square with a caller-chosen size.
 
 use unn_geom::{Aabb, Point};
 

@@ -11,7 +11,7 @@
 //!   structure (§4.2);
 //! * [`QuadTree`] — branch-and-bound m-NN, the alternative the paper itself
 //!   recommends (§4.3 remark (ii));
-//! * [`UniformGrid`] — bucket grid, the third backend for ablations;
+//! * [`UniformGrid`] — bucket grid, a third neighborhood backend;
 //! * [`RTree`] — STR-packed R-tree, the substrate of the `[CKP04]`
 //!   branch-and-prune baseline;
 //! * [`PersistentSet`] — path-copying persistent sets implementing the

@@ -118,9 +118,7 @@ pub struct ReplyBatch {
     pub replies: Vec<Reply>,
 }
 
-/// Every session frame the protocol speaks. (Tags [`tag::QUANTIFY_OUTCOME`]
-/// and [`tag::UNN_ERROR`] are standalone value frames encoded by the `unn`
-/// façade; they are not session frames and [`decode_frame`] rejects them.)
+/// Every session frame the protocol speaks.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Frame {
     /// Client handshake.
@@ -564,8 +562,8 @@ mod tests {
     }
 
     #[test]
-    fn facade_tags_are_not_session_frames() {
-        for t in [tag::QUANTIFY_OUTCOME, tag::UNN_ERROR, 0, 200] {
+    fn tags_outside_the_session_frames_are_rejected() {
+        for t in [0, 6, 7, 200] {
             assert!(matches!(
                 decode_frame(&[t]),
                 Err(WireError::UnknownTag { .. })

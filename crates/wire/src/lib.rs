@@ -33,7 +33,8 @@
 //!   body that decodes re-encodes to the same bytes.
 //! * **Limits on the sending side** — [`encode_frame_checked`] applies the
 //!   decoder's limits before a frame is sent; a server answers a reply
-//!   batch beyond them with [`ErrorCode::TooLarge`].
+//!   batch beyond them with [`ErrorCode::TooLarge`], and a client refuses
+//!   a request batch beyond them without sending it.
 //!
 //! Compatibility contract: [`WIRE_VERSION`] bumps on any layout change
 //! (frames carry no per-field tags, so layout is the version). Both sides
@@ -80,10 +81,6 @@ pub mod tag {
     pub const REPLY_BATCH: u8 = 4;
     /// A typed protocol-level error.
     pub const ERROR: u8 = 5;
-    /// A standalone `QuantifyOutcome` value (encoded by the `unn` façade).
-    pub const QUANTIFY_OUTCOME: u8 = 6;
-    /// A standalone `UnnError` value (encoded by the `unn` façade).
-    pub const UNN_ERROR: u8 = 7;
 }
 
 /// Why a decode failed. Every variant is a rejected input, never a panic.

@@ -15,14 +15,11 @@ use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
 use unn::geom::Point;
-use unn::index::QuantifyMethod;
 use unn::serve::{Outcome, Reply, Request, ShedReason};
 use unn::wire::{
-    decode_frame, decode_quantify_outcome, decode_unn_error, encode_frame, encode_quantify_outcome,
-    encode_unn_error, frame_bytes, frame_split, ErrorCode, ErrorFrame, Frame, Hello, HelloAck,
-    ReplyBatch, RequestBatch, ANY_EPOCH, WIRE_VERSION,
+    decode_frame, encode_frame, frame_bytes, frame_split, ErrorCode, ErrorFrame, Frame, Hello,
+    HelloAck, ReplyBatch, RequestBatch, ANY_EPOCH, WIRE_VERSION,
 };
-use unn::{QuantifyOutcome, UnnError};
 
 fn random_f64(rng: &mut SmallRng) -> f64 {
     // Cover the full bit space: normals, subnormals, infinities, NaNs,
@@ -189,8 +186,6 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let bytes: Vec<u8> = (0..len).map(|_| rng.random_range(0..=255u32) as u8).collect();
         let _ = decode_frame(&bytes);
-        let _ = decode_quantify_outcome(&bytes);
-        let _ = decode_unn_error(&bytes);
         let _ = frame_split(&bytes);
     }
 
@@ -207,64 +202,6 @@ proptest! {
             // Corruption can land in a payload byte and still decode; the
             // re-encoding must then reproduce the corrupt body exactly.
             prop_assert_eq!(encode_frame(&frame), corrupt);
-        }
-    }
-
-    /// Façade value frames (`QuantifyOutcome`, `UnnError`) round-trip and
-    /// reject truncations.
-    #[test]
-    fn facade_frames_round_trip(seed in 0u64..1_000_000_000) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let outcome = if rng.random_bool(0.5) {
-            QuantifyOutcome::Exact {
-                pi: random_f64s(&mut rng, 8),
-                method: match rng.random_range(0..4u32) {
-                    0 => QuantifyMethod::Spiral,
-                    1 => QuantifyMethod::MonteCarlo { achieved_epsilon: random_f64(&mut rng) },
-                    2 => QuantifyMethod::ExactSweep,
-                    _ => QuantifyMethod::NumericIntegration,
-                },
-                work: rng.random_range(0..=u64::MAX),
-            }
-        } else {
-            QuantifyOutcome::Degraded {
-                pi: random_f64s(&mut rng, 8),
-                achieved_epsilon: random_f64(&mut rng),
-                rounds_used: rng.random_range(0..1_000_000usize),
-                work: rng.random_range(0..=u64::MAX),
-            }
-        };
-        let body = encode_quantify_outcome(&outcome);
-        let back = decode_quantify_outcome(&body);
-        prop_assert!(back.is_ok());
-        if let Ok(back) = back {
-            prop_assert_eq!(encode_quantify_outcome(&back), body.clone());
-        }
-        for cut in 0..body.len() {
-            prop_assert!(decode_quantify_outcome(&body[..cut]).is_err());
-        }
-
-        let err = match rng.random_range(0..5u32) {
-            0 => UnnError::InvalidDistribution {
-                index: if rng.random_bool(0.5) { Some(rng.random_range(0..1_000usize)) } else { None },
-                reason: "bad support".into(),
-            },
-            1 => UnnError::InvalidConfig { reason: "ε out of range".into() },
-            2 => UnnError::DegenerateGeometry { reason: "collinear".into() },
-            3 => UnnError::BudgetExhausted {
-                budget: rng.random_range(0..=u64::MAX),
-                required: rng.random_range(0..=u64::MAX),
-            },
-            _ => UnnError::QueryPanicked { message: "caught".into() },
-        };
-        let body = encode_unn_error(&err);
-        let back = decode_unn_error(&body);
-        prop_assert!(back.is_ok());
-        if let Ok(back) = back {
-            prop_assert_eq!(back, err);
-        }
-        for cut in 0..body.len() {
-            prop_assert!(decode_unn_error(&body[..cut]).is_err());
         }
     }
 }
