@@ -1,6 +1,5 @@
 //! Pipeline-observability harness; writes `BENCH_observe.json` (aggregated
-//! [`unn::observe::PipelineMetrics`] snapshots per instance size) at the repo
-//! root.
+//! [`unn::observe::PipelineMetrics`] per instance size) at the repo root.
 //!
 //! ```sh
 //! cargo run -p unn-bench --release --features observe --bin bench_observe
@@ -12,11 +11,12 @@
 //!
 //! Per size `n`, two batches over a shared query set:
 //!
-//! * `adaptive`   — `quantify_adaptive_batch_observed` at (ε = 0.05,
-//!   δ = 0.01): rounds-used histogram, ball-fold vs descent split,
-//!   checkpoint count, kd/forest pruning effectiveness;
-//! * `nn_nonzero` — `nn_nonzero_batch_observed`: Lemma 2.1 stage-2
-//!   candidate counts and kd pruning for the nonzero-NN path.
+//! * `adaptive`   — `quantify_adaptive` at (ε = 0.05, δ = 0.01) through
+//!   `PnnIndex::observed_batch`: rounds-used histogram, ball-fold vs descent
+//!   split, checkpoint count, kd/forest pruning effectiveness;
+//! * `nn_nonzero` — `nn_nonzero` through `PnnIndex::observed_batch`:
+//!   Lemma 2.1 stage-2 candidate counts and kd pruning for the nonzero-NN
+//!   path.
 
 use unn::batch::BatchOptions;
 use unn::observe::{MonotonicClock, PipelineMetrics};
@@ -43,13 +43,13 @@ fn run_size(n: usize) -> SizeReport {
     let clock = MonotonicClock;
     let opts = BatchOptions::default();
 
-    let adaptive = PipelineMetrics::new();
-    idx.quantify_adaptive_batch_observed(&queries, EPS, DELTA, &opts, &adaptive, &clock);
-    let adaptive = adaptive.snapshot();
+    let mut adaptive = PipelineMetrics::new();
+    idx.observed_batch(&queries, &opts, &mut adaptive, &clock, |q| {
+        idx.quantify_adaptive(q, EPS, DELTA)
+    });
 
-    let nn = PipelineMetrics::new();
-    idx.nn_nonzero_batch_observed(&queries, &opts, &nn, &clock);
-    let nn = nn.snapshot();
+    let mut nn = PipelineMetrics::new();
+    idx.observed_batch(&queries, &opts, &mut nn, &clock, |q| idx.nn_nonzero(q));
 
     println!("== n = {n}: adaptive quantify (eps={EPS}, delta={DELTA}) ==");
     print!("{}", adaptive.render_text());

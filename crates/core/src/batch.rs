@@ -53,9 +53,12 @@ use crate::resilience::{QuantifyOutcome, QueryBudget, UnnError};
 /// the typed error it degraded to (a caught panic, a non-finite query, …).
 pub type BatchOutcome<T> = Result<T, UnnError>;
 
-/// Runs one query under panic isolation: a panic anywhere below `f` is
+/// Runs one query under panic isolation: a non-finite `q` becomes
+/// [`UnnError::DegenerateGeometry`], and a panic anywhere below `f` is
 /// caught here, inside the worker's closure, so the rayon worker never
-/// unwinds and every other slot of the batch proceeds untouched.
+/// unwinds and every other slot of the batch proceeds untouched. The one
+/// copy of this rule: [`PnnIndex::try_nn_nonzero`] and
+/// [`PnnIndex::quantify_guarded`] call it too.
 pub(crate) fn isolate<T>(q: Point, f: impl FnOnce() -> T) -> BatchOutcome<T> {
     if !q.is_finite() {
         return Err(UnnError::DegenerateGeometry {
@@ -344,7 +347,7 @@ impl PnnIndex {
         opts.run(|| {
             queries
                 .par_iter()
-                .map(|&q| isolate(q, || self.nn_nonzero(q)))
+                .map(|&q| self.try_nn_nonzero(q))
                 .collect()
         })
     }
@@ -422,7 +425,7 @@ impl PnnIndex {
         opts.run(|| {
             queries
                 .par_iter()
-                .map(|&q| isolate(q, || self.quantify_within(q, budget)).and_then(|r| r))
+                .map(|&q| self.quantify_guarded(q, budget))
                 .collect()
         })
     }

@@ -285,16 +285,7 @@ impl PnnIndex {
     /// query coordinates with a typed error and converts any panic on the
     /// query path into [`UnnError::QueryPanicked`].
     pub fn try_nn_nonzero(&self, q: Point) -> Result<Vec<usize>, UnnError> {
-        if !q.is_finite() {
-            return Err(UnnError::DegenerateGeometry {
-                reason: format!("query point has non-finite coordinate ({}, {})", q.x, q.y),
-            });
-        }
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.nn_nonzero(q))).map_err(
-            |payload| UnnError::QueryPanicked {
-                message: unn_quantify::panic_message(payload),
-            },
-        )
+        crate::batch::isolate(q, || self.nn_nonzero(q))
     }
 
     /// The work an exact quantification answer costs at this index, in the
@@ -376,19 +367,7 @@ impl PnnIndex {
         q: Point,
         budget: QueryBudget,
     ) -> Result<QuantifyOutcome, UnnError> {
-        if !q.is_finite() {
-            return Err(UnnError::DegenerateGeometry {
-                reason: format!("query point has non-finite coordinate ({}, {})", q.x, q.y),
-            });
-        }
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.quantify_within(q, budget)
-        }))
-        .unwrap_or_else(|payload| {
-            Err(UnnError::QueryPanicked {
-                message: unn_quantify::panic_message(payload),
-            })
-        })
+        crate::batch::isolate(q, || self.quantify_within(q, budget)).and_then(|r| r)
     }
 
     /// Number of uncertain points.

@@ -1,28 +1,44 @@
 //! Observability layer: per-query stats and batch pipeline metrics
 //! (re-exporting and wiring up [`unn_observe`]).
 //!
-//! Every `*_observed` entry point wraps its plain counterpart with three
-//! additions and no behavioral change:
+//! [`PnnIndex::observed`] wraps any query closure with three additions and
+//! no behavioral change:
 //!
 //! 1. the structure-level counters (kd nodes visited/pruned, ball hits,
-//!    Δ-seed radius, checkpoint evaluations — live only under the `observe`
-//!    feature, all-zero otherwise) are reset before and harvested after the
-//!    query into a [`QueryStats`];
+//!    checkpoint evaluations — live only under the `observe` feature,
+//!    all-zero otherwise) are reset before and harvested after the query
+//!    into a [`QueryStats`];
 //! 2. the *result-derived* fields (rounds used vs available, certified
 //!    accuracy, Exact/Degraded/Errored outcome) are filled from the return
-//!    value — these are meaningful even without the `observe` feature;
+//!    value through its [`Observed`] impl — these are meaningful even
+//!    without the `observe` feature;
 //! 3. wall-clock is taken from a caller-injected [`Clock`] — inject
 //!    [`NullClock`] and the timing fields are identically zero, which is how
-//!    the determinism tests compare [`MetricsSnapshot`]s bit-for-bit.
+//!    the determinism tests compare [`PipelineMetrics`] bit-for-bit.
 //!
-//! The batch variants additionally fold every query's stats into a
-//! [`PipelineMetrics`] through per-worker [`ShardHandle`]s: workers record
-//! into private shards (no locks, no atomics on the query path) that merge
-//! into the shared total once per worker, when the handle drops.
+//! ```
+//! use unn::geom::Point;
+//! use unn::observe::{NullClock, PipelineMetrics};
+//! use unn::{BatchOptions, PnnIndex, Uncertain};
+//!
+//! let index = PnnIndex::new(vec![
+//!     Uncertain::uniform_disk(Point::new(0.0, 0.0), 1.0),
+//!     Uncertain::uniform_disk(Point::new(5.0, 1.0), 2.0),
+//! ]);
+//! let q = Point::new(2.0, 0.0);
+//! let (a, stats) = index.observed(&NullClock, || index.quantify_adaptive(q, 0.05, 0.01));
+//! assert_eq!(stats.rounds_used, a.rounds_used as u64);
+//!
+//! let queries = [q, Point::new(4.0, 1.0)];
+//! let mut metrics = PipelineMetrics::new();
+//! let opts = BatchOptions::default();
+//! index.observed_batch(&queries, &opts, &mut metrics, &NullClock, |q| index.nn_nonzero(q));
+//! assert_eq!(metrics.queries, 2);
+//! ```
 //!
 //! # Determinism
 //!
-//! [`MetricsSnapshot::deterministic`] (all non-timing fields) is a pure
+//! [`PipelineMetrics::deterministic`] (all non-timing fields) is a pure
 //! function of `(index, queries)` — independent of thread count and query
 //! order — because every counter is an order-independent sum of per-query
 //! quantities that are themselves deterministic. Asserted at 1/2/8 threads
@@ -32,14 +48,14 @@ use rayon::prelude::*;
 use unn_geom::Point;
 use unn_quantify::AdaptiveQuantify;
 
-use crate::batch::{BatchOptions, BatchOutcome};
+use crate::batch::BatchOptions;
 use crate::index::{PnnIndex, QuantifyMethod};
-use crate::resilience::{QuantifyOutcome, QueryBudget, UnnError};
+use crate::resilience::{QuantifyOutcome, UnnError};
 
 pub use unn_observe::{
-    counters_enabled, error_label_index, Clock, CounterSet, Histogram, MetricsShard,
-    MetricsSnapshot, MonotonicClock, NullClock, PipelineMetrics, QueryOutcome, QueryStats,
-    ServeCounters, ShardHandle, VirtualClock, ERROR_LABELS, HIST_BUCKETS,
+    counters_enabled, error_label_index, Clock, CounterSet, Histogram, MonotonicClock, NullClock,
+    PipelineMetrics, QueryOutcome, QueryStats, ServeCounters, VirtualClock, ERROR_LABELS,
+    HIST_BUCKETS,
 };
 
 /// The stable [`ERROR_LABELS`] key for an [`UnnError`] variant (the
@@ -55,320 +71,123 @@ pub fn error_label(e: &UnnError) -> &'static str {
     }
 }
 
-/// Runs `f` between a counter reset and harvest, stamping wall-clock from
-/// `clock`. The shared prologue/epilogue of every observed entry point.
-fn observe_query<T>(clock: &dyn Clock, f: impl FnOnce() -> T) -> (T, QueryStats) {
-    let t0 = clock.now_nanos();
-    unn_observe::begin_query();
-    let out = f();
-    let counters = unn_observe::take_counters();
-    let wall_nanos = clock.now_nanos().saturating_sub(t0);
-    (
-        out,
-        QueryStats {
-            counters,
-            wall_nanos,
-            ..QueryStats::default()
-        },
-    )
+/// A query answer that knows its result-derived [`QueryStats`] fields.
+pub trait Observed {
+    /// Fills rounds used and total, the certified ε, the outcome and the
+    /// error label from this answer; `rounds` is the index's round count
+    /// `s`.
+    fn fill(&self, rounds: u64, stats: &mut QueryStats);
 }
 
-/// Fills the outcome-related fields of `stats` from a budgeted result.
-fn fill_outcome(res: &Result<QuantifyOutcome, UnnError>, s: u64, stats: &mut QueryStats) {
-    match res {
-        Ok(QuantifyOutcome::Exact { .. }) => stats.outcome = QueryOutcome::Exact,
-        Ok(QuantifyOutcome::Degraded {
-            achieved_epsilon,
-            rounds_used,
-            ..
-        }) => {
-            stats.outcome = QueryOutcome::Degraded;
-            stats.rounds_used = *rounds_used as u64;
-            stats.rounds_total = s;
-            stats.achieved_epsilon = *achieved_epsilon;
-        }
-        Err(e) => {
-            stats.outcome = QueryOutcome::Errored;
-            stats.error_label = Some(error_label(e));
+/// NN≠0 ids: an exact answer with no rounds.
+impl Observed for Vec<usize> {
+    fn fill(&self, _rounds: u64, _stats: &mut QueryStats) {}
+}
+
+/// [`PnnIndex::quantify`]: the fixed-s estimator consumes every pre-drawn
+/// round.
+impl Observed for (Vec<f64>, QuantifyMethod) {
+    fn fill(&self, rounds: u64, stats: &mut QueryStats) {
+        if let QuantifyMethod::MonteCarlo { achieved_epsilon } = self.1 {
+            stats.rounds_used = rounds;
+            stats.rounds_total = rounds;
+            stats.achieved_epsilon = achieved_epsilon;
         }
     }
 }
 
-/// Fills the outcome fields of an isolated slot: an `Ok` answer counts as
-/// exact, a typed error is labeled so it lands in exactly one
-/// [`MetricsShard::error_counts`] bucket.
-fn fill_isolated<T>(res: &BatchOutcome<T>, stats: &mut QueryStats) {
-    match res {
-        Ok(_) => stats.outcome = QueryOutcome::Exact,
-        Err(e) => {
-            stats.outcome = QueryOutcome::Errored;
-            stats.error_label = Some(error_label(e));
+impl Observed for AdaptiveQuantify {
+    fn fill(&self, rounds: u64, stats: &mut QueryStats) {
+        stats.rounds_used = self.rounds_used as u64;
+        stats.rounds_total = rounds;
+        stats.achieved_epsilon = self.half_width;
+    }
+}
+
+impl Observed for QuantifyOutcome {
+    fn fill(&self, rounds: u64, stats: &mut QueryStats) {
+        if let QuantifyOutcome::Degraded {
+            achieved_epsilon,
+            rounds_used,
+            ..
+        } = self
+        {
+            stats.outcome = QueryOutcome::Degraded;
+            stats.rounds_used = *rounds_used as u64;
+            stats.rounds_total = rounds;
+            stats.achieved_epsilon = *achieved_epsilon;
+        }
+    }
+}
+
+/// A typed error lands in exactly one [`PipelineMetrics::error_counts`]
+/// bucket.
+impl<T: Observed> Observed for Result<T, UnnError> {
+    fn fill(&self, rounds: u64, stats: &mut QueryStats) {
+        match self {
+            Ok(answer) => answer.fill(rounds, stats),
+            Err(e) => {
+                stats.outcome = QueryOutcome::Errored;
+                stats.error_label = Some(error_label(e));
+            }
         }
     }
 }
 
 impl PnnIndex {
-    /// [`PnnIndex::nn_nonzero`] plus its [`QueryStats`].
-    pub fn nn_nonzero_observed(&self, q: Point, clock: &dyn Clock) -> (Vec<usize>, QueryStats) {
-        observe_query(clock, || self.nn_nonzero(q))
-    }
-
-    /// [`PnnIndex::quantify`] plus its [`QueryStats`].
-    pub fn quantify_observed(
+    /// Runs the query `f` between a counter reset and harvest, stamping
+    /// wall-clock from `clock`, and returns its answer with its
+    /// [`QueryStats`].
+    pub fn observed<T: Observed>(
         &self,
-        q: Point,
         clock: &dyn Clock,
-    ) -> (Vec<f64>, QuantifyMethod, QueryStats) {
-        let ((pi, method), mut stats) = observe_query(clock, || self.quantify(q));
-        if let QuantifyMethod::MonteCarlo { achieved_epsilon } = method {
-            // The fixed-s estimator consumes every pre-drawn round.
-            let s = self.mc_rounds() as u64;
-            stats.rounds_used = s;
-            stats.rounds_total = s;
-            stats.achieved_epsilon = achieved_epsilon;
-        }
-        (pi, method, stats)
+        f: impl FnOnce() -> T,
+    ) -> (T, QueryStats) {
+        let t0 = clock.now_nanos();
+        unn_observe::begin_query();
+        let answer = f();
+        let mut stats = QueryStats {
+            counters: unn_observe::take_counters(),
+            wall_nanos: clock.now_nanos().saturating_sub(t0),
+            ..QueryStats::default()
+        };
+        answer.fill(self.mc_rounds() as u64, &mut stats);
+        (answer, stats)
     }
 
-    /// [`PnnIndex::quantify_adaptive`] plus its [`QueryStats`]
-    /// (`rounds_used`, `rounds_total = s`, and the certified half-width are
-    /// copied from the result, so they are live even without the `observe`
-    /// feature).
-    pub fn quantify_adaptive_observed(
-        &self,
-        q: Point,
-        eps: f64,
-        delta: f64,
-        clock: &dyn Clock,
-    ) -> (AdaptiveQuantify, QueryStats) {
-        let (a, mut stats) = observe_query(clock, || self.quantify_adaptive(q, eps, delta));
-        stats.rounds_used = a.rounds_used as u64;
-        stats.rounds_total = self.mc_rounds() as u64;
-        stats.achieved_epsilon = a.half_width;
-        (a, stats)
-    }
-
-    /// [`PnnIndex::quantify_guarded`] plus its [`QueryStats`]: the outcome
-    /// field records Exact/Degraded/Errored and errors are labeled for
-    /// [`MetricsShard::error_counts`].
-    pub fn quantify_guarded_observed(
-        &self,
-        q: Point,
-        budget: QueryBudget,
-        clock: &dyn Clock,
-    ) -> (Result<QuantifyOutcome, UnnError>, QueryStats) {
-        let (res, mut stats) = observe_query(clock, || self.quantify_guarded(q, budget));
-        fill_outcome(&res, self.mc_rounds() as u64, &mut stats);
-        (res, stats)
-    }
-
-    /// [`PnnIndex::nn_nonzero_batch_with`] recording per-query stats into
-    /// `metrics` (results identical to the unobserved batch).
-    pub fn nn_nonzero_batch_observed(
+    /// [`PnnIndex::observed`] over a batch: answers `f(q)` for every query
+    /// in parallel under `opts`, then records each query's stats into
+    /// `metrics` in input order. The answers are those of the unobserved
+    /// batch.
+    pub fn observed_batch<T: Observed + Send>(
         &self,
         queries: &[Point],
         opts: &BatchOptions,
-        metrics: &PipelineMetrics,
+        metrics: &mut PipelineMetrics,
         clock: &dyn Clock,
-    ) -> Vec<Vec<usize>> {
-        opts.run(|| {
+        f: impl Fn(Point) -> T + Sync,
+    ) -> Vec<T> {
+        let observed: Vec<(T, QueryStats)> = opts.run(|| {
             queries
                 .par_iter()
-                .map_init(
-                    || metrics.shard(),
-                    |shard, &q| {
-                        let (out, stats) = self.nn_nonzero_observed(q, clock);
-                        shard.record(&stats);
-                        out
-                    },
-                )
-                .collect()
-        })
-    }
-
-    /// [`PnnIndex::quantify_batch_with`] recording per-query stats into
-    /// `metrics`.
-    pub fn quantify_batch_observed(
-        &self,
-        queries: &[Point],
-        opts: &BatchOptions,
-        metrics: &PipelineMetrics,
-        clock: &dyn Clock,
-    ) -> (Vec<Vec<f64>>, QuantifyMethod) {
-        // The method is input-wide (spiral vs Monte-Carlo is a property of
-        // the index); an empty batch resolves it without running a query.
-        let (_, method) = self.quantify_batch(&[]);
-        let pis = opts.run(|| {
-            queries
-                .par_iter()
-                .map_init(
-                    || metrics.shard(),
-                    |shard, &q| {
-                        let (pi, _, stats) = self.quantify_observed(q, clock);
-                        shard.record(&stats);
-                        pi
-                    },
-                )
+                .map(|&q| self.observed(clock, || f(q)))
                 .collect()
         });
-        (pis, method)
-    }
-
-    /// [`PnnIndex::quantify_adaptive_batch_with`] recording per-query stats
-    /// into `metrics` — the workhorse of the pruning-effectiveness table
-    /// (`BENCH_observe.json`): rounds-used histograms, ball-fold vs descent
-    /// round counts, checkpoint evaluations.
-    pub fn quantify_adaptive_batch_observed(
-        &self,
-        queries: &[Point],
-        eps: f64,
-        delta: f64,
-        opts: &BatchOptions,
-        metrics: &PipelineMetrics,
-        clock: &dyn Clock,
-    ) -> Vec<AdaptiveQuantify> {
-        opts.run(|| {
-            queries
-                .par_iter()
-                .map_init(
-                    || metrics.shard(),
-                    |shard, &q| {
-                        let (a, stats) = self.quantify_adaptive_observed(q, eps, delta, clock);
-                        shard.record(&stats);
-                        a
-                    },
-                )
-                .collect()
-        })
-    }
-
-    /// [`PnnIndex::nn_nonzero_batch_isolated_with`] recording per-query
-    /// stats into `metrics`: every slot that degrades to a typed error —
-    /// including a caught panic — lands in exactly one
-    /// [`MetricsShard::error_counts`] bucket keyed by [`ERROR_LABELS`]
-    /// variant; successful slots count as exact.
-    pub fn nn_nonzero_batch_isolated_observed(
-        &self,
-        queries: &[Point],
-        opts: &BatchOptions,
-        metrics: &PipelineMetrics,
-        clock: &dyn Clock,
-    ) -> Vec<BatchOutcome<Vec<usize>>> {
-        opts.run(|| {
-            queries
-                .par_iter()
-                .map_init(
-                    || metrics.shard(),
-                    |shard, &q| {
-                        let (res, mut stats) = observe_query(clock, || {
-                            crate::batch::isolate(q, || self.nn_nonzero(q))
-                        });
-                        fill_isolated(&res, &mut stats);
-                        shard.record(&stats);
-                        res
-                    },
-                )
-                .collect()
-        })
-    }
-
-    /// [`PnnIndex::quantify_batch_isolated_with`] recording per-query stats
-    /// into `metrics` with automatic per-error-variant counting.
-    pub fn quantify_batch_isolated_observed(
-        &self,
-        queries: &[Point],
-        opts: &BatchOptions,
-        metrics: &PipelineMetrics,
-        clock: &dyn Clock,
-    ) -> Vec<BatchOutcome<(Vec<f64>, QuantifyMethod)>> {
-        opts.run(|| {
-            queries
-                .par_iter()
-                .map_init(
-                    || metrics.shard(),
-                    |shard, &q| {
-                        let (res, mut stats) =
-                            observe_query(clock, || crate::batch::isolate(q, || self.quantify(q)));
-                        fill_isolated(&res, &mut stats);
-                        if let Ok((_, QuantifyMethod::MonteCarlo { achieved_epsilon })) = &res {
-                            let s = self.mc_rounds() as u64;
-                            stats.rounds_used = s;
-                            stats.rounds_total = s;
-                            stats.achieved_epsilon = *achieved_epsilon;
-                        }
-                        shard.record(&stats);
-                        res
-                    },
-                )
-                .collect()
-        })
-    }
-
-    /// [`PnnIndex::quantify_adaptive_batch_isolated_with`] recording
-    /// per-query stats into `metrics` with automatic per-error-variant
-    /// counting; successful slots carry their adaptive rounds/accuracy.
-    pub fn quantify_adaptive_batch_isolated_observed(
-        &self,
-        queries: &[Point],
-        eps: f64,
-        delta: f64,
-        opts: &BatchOptions,
-        metrics: &PipelineMetrics,
-        clock: &dyn Clock,
-    ) -> Vec<BatchOutcome<AdaptiveQuantify>> {
-        opts.run(|| {
-            queries
-                .par_iter()
-                .map_init(
-                    || metrics.shard(),
-                    |shard, &q| {
-                        let (res, mut stats) = observe_query(clock, || {
-                            crate::batch::isolate(q, || self.quantify_adaptive(q, eps, delta))
-                        });
-                        fill_isolated(&res, &mut stats);
-                        if let Ok(a) = &res {
-                            stats.rounds_used = a.rounds_used as u64;
-                            stats.rounds_total = self.mc_rounds() as u64;
-                            stats.achieved_epsilon = a.half_width;
-                        }
-                        shard.record(&stats);
-                        res
-                    },
-                )
-                .collect()
-        })
-    }
-
-    /// [`PnnIndex::quantify_guarded_batch_with`] recording per-query stats
-    /// into `metrics`: degradations and typed errors are counted by
-    /// [`ERROR_LABELS`] variant, each slot still answers independently.
-    pub fn quantify_guarded_batch_observed(
-        &self,
-        queries: &[Point],
-        budget: QueryBudget,
-        opts: &BatchOptions,
-        metrics: &PipelineMetrics,
-        clock: &dyn Clock,
-    ) -> Vec<BatchOutcome<QuantifyOutcome>> {
-        opts.run(|| {
-            queries
-                .par_iter()
-                .map_init(
-                    || metrics.shard(),
-                    |shard, &q| {
-                        let (res, stats) = self.quantify_guarded_observed(q, budget, clock);
-                        shard.record(&stats);
-                        res
-                    },
-                )
-                .collect()
-        })
+        observed
+            .into_iter()
+            .map(|(answer, stats)| {
+                metrics.record(&stats);
+                answer
+            })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::isolate;
+    use crate::resilience::QueryBudget;
     use unn_distr::Uncertain;
 
     fn index() -> PnnIndex {
@@ -385,8 +204,11 @@ mod tests {
         let idx = index();
         let q = Point::new(1.0, 1.0);
         let clock = NullClock;
-        assert_eq!(idx.nn_nonzero_observed(q, &clock).0, idx.nn_nonzero(q));
-        let (a, stats) = idx.quantify_adaptive_observed(q, 0.05, 0.01, &clock);
+        assert_eq!(
+            idx.observed(&clock, || idx.nn_nonzero(q)).0,
+            idx.nn_nonzero(q)
+        );
+        let (a, stats) = idx.observed(&clock, || idx.quantify_adaptive(q, 0.05, 0.01));
         assert_eq!(a, idx.quantify_adaptive(q, 0.05, 0.01));
         assert_eq!(stats.rounds_used, a.rounds_used as u64);
         assert_eq!(stats.rounds_total, idx.mc_rounds() as u64);
@@ -399,15 +221,15 @@ mod tests {
         let idx = index();
         let clock = NullClock;
         let q = Point::new(1.0, 1.0);
-        let (res, stats) = idx.quantify_guarded_observed(q, QueryBudget::unlimited(), &clock);
+        let guarded = |q, budget| idx.observed(&clock, || idx.quantify_guarded(q, budget));
+        let (res, stats) = guarded(q, QueryBudget::unlimited());
         assert!(res.is_ok());
         assert_eq!(stats.outcome, QueryOutcome::Exact);
-        let (res, stats) = idx.quantify_guarded_observed(q, QueryBudget::with_work(64), &clock);
+        let (res, stats) = guarded(q, QueryBudget::with_work(64));
         assert!(matches!(res, Ok(QuantifyOutcome::Degraded { .. })));
         assert_eq!(stats.outcome, QueryOutcome::Degraded);
         assert!(stats.rounds_used > 0);
-        let bad = Point::new(f64::NAN, 0.0);
-        let (res, stats) = idx.quantify_guarded_observed(bad, QueryBudget::unlimited(), &clock);
+        let (res, stats) = guarded(Point::new(f64::NAN, 0.0), QueryBudget::unlimited());
         assert!(res.is_err());
         assert_eq!(stats.outcome, QueryOutcome::Errored);
         assert_eq!(stats.error_label, Some("degenerate_geometry"));
@@ -417,29 +239,28 @@ mod tests {
     fn batch_observed_fills_metrics() {
         let idx = index();
         let queries: Vec<Point> = (0..40).map(|i| Point::new(i as f64 * 0.3, 0.5)).collect();
-        let metrics = PipelineMetrics::new();
+        let mut metrics = PipelineMetrics::new();
         let plain = idx.quantify_adaptive_batch(&queries, 0.05, 0.01);
-        let observed = idx.quantify_adaptive_batch_observed(
+        let observed = idx.observed_batch(
             &queries,
-            0.05,
-            0.01,
             &BatchOptions::with_threads(2),
-            &metrics,
+            &mut metrics,
             &NullClock,
+            |q| idx.quantify_adaptive(q, 0.05, 0.01),
         );
         assert_eq!(plain, observed);
-        let snap = metrics.snapshot();
-        assert_eq!(snap.shard.queries, queries.len() as u64);
+        assert_eq!(metrics.queries, queries.len() as u64);
         assert_eq!(
-            snap.shard.rounds_used,
+            metrics.rounds_used,
             plain.iter().map(|a| a.rounds_used as u64).sum::<u64>()
         );
-        assert_eq!(snap.shard.wall_nanos, 0);
+        assert_eq!(metrics.wall_nanos, 0);
         // Deep counters are live exactly when the observe feature is on.
+        let c = &metrics.counters;
         if counters_enabled() {
-            assert!(snap.shard.kd_nodes_visited > 0 || snap.shard.forest_nodes_visited > 0);
+            assert!(c.kd_nodes_visited > 0 || c.forest_nodes_visited > 0);
         } else {
-            assert_eq!(snap.shard.kd_nodes_visited, 0);
+            assert_eq!(c.kd_nodes_visited, 0);
         }
     }
 
@@ -459,39 +280,31 @@ mod tests {
         let mut queries: Vec<Point> = (0..20).map(|i| Point::new(i as f64 * 0.4, 0.6)).collect();
         queries[7] = poison;
         queries[13] = Point::new(f64::NAN, 0.0);
-        let metrics = PipelineMetrics::new();
-        let out = idx.nn_nonzero_batch_isolated_observed(
-            &queries,
-            &BatchOptions::with_threads(2),
-            &metrics,
-            &NullClock,
-        );
+        let opts = BatchOptions::with_threads(2);
+        let mut metrics = PipelineMetrics::new();
+        let out = idx.observed_batch(&queries, &opts, &mut metrics, &NullClock, |q| {
+            idx.try_nn_nonzero(q)
+        });
         assert_eq!(out, idx.nn_nonzero_batch_isolated(&queries));
-        let snap = metrics.snapshot();
-        assert_eq!(snap.shard.queries, 20);
+        assert_eq!(metrics.queries, 20);
         let panicked = error_label_index("query_panicked").unwrap();
         let degenerate = error_label_index("degenerate_geometry").unwrap();
         assert_eq!(
-            snap.shard.error_counts[panicked], 1,
+            metrics.error_counts[panicked], 1,
             "the poison query lands in exactly one query_panicked bucket"
         );
-        assert_eq!(snap.shard.error_counts[degenerate], 1);
-        assert_eq!(snap.shard.error_counts.iter().sum::<u64>(), 2);
-        assert_eq!(snap.shard.exact_count, 18);
+        assert_eq!(metrics.error_counts[degenerate], 1);
+        assert_eq!(metrics.error_counts.iter().sum::<u64>(), 2);
+        assert_eq!(metrics.exact_count, 18);
 
-        // The adaptive isolated variant counts the same way and keeps
-        // per-slot answers identical to the unobserved batch. (Its
-        // Monte-Carlo estimator never evaluates distance CDFs at q, so the
-        // chaos poison does not fire — only the NaN query errors.)
-        let metrics = PipelineMetrics::new();
-        let out = idx.quantify_adaptive_batch_isolated_observed(
-            &queries,
-            0.05,
-            0.01,
-            &BatchOptions::with_threads(2),
-            &metrics,
-            &NullClock,
-        );
+        // Isolated adaptive answers count the same way and keep per-slot
+        // answers identical to the unobserved batch. (Its Monte-Carlo
+        // estimator never evaluates distance CDFs at q, so the chaos poison
+        // does not fire — only the NaN query errors.)
+        let mut metrics = PipelineMetrics::new();
+        let out = idx.observed_batch(&queries, &opts, &mut metrics, &NullClock, |q| {
+            isolate(q, || idx.quantify_adaptive(q, 0.05, 0.01))
+        });
         assert_eq!(
             out,
             idx.quantify_adaptive_batch_isolated_with(
@@ -501,10 +314,9 @@ mod tests {
                 &BatchOptions::default()
             )
         );
-        let snap = metrics.snapshot();
-        assert_eq!(snap.shard.error_counts[degenerate], 1);
-        let errored = snap.shard.error_counts.iter().sum::<u64>();
-        assert_eq!(snap.shard.exact_count + errored, 20);
+        assert_eq!(metrics.error_counts[degenerate], 1);
+        let errored = metrics.error_counts.iter().sum::<u64>();
+        assert_eq!(metrics.exact_count + errored, 20);
     }
 
     #[test]

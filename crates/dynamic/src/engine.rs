@@ -666,7 +666,6 @@ impl EngineSnapshot {
         }
         let s = self.s;
         let seed = self.shared_delta(q) * (1.0 + 1e-12);
-        unn_observe::seed_radius(seed);
         let mut best: Vec<(f64, PointId)> = vec![(f64::INFINITY, PointId::MAX); s];
         for (core, alive) in &self.slots {
             // A block whose closest sample sits beyond the seed radius

@@ -4,36 +4,38 @@
 //!
 //! * **Counter hooks** ([`kd_node_visited`], [`ball_point`],
 //!   [`mc_checkpoint`], …) — free functions the hot paths in
-//!   `unn-spatial`, `unn-quantify`, and `unn-nonzero` call unconditionally.
-//!   Without the `enabled` feature every hook is an empty
-//!   `#[inline(always)]` function, so the instrumented build is
-//!   byte-identical to an uninstrumented one (CI asserts the marker symbol
-//!   [`unn_observe_counters_enabled`] is absent from default-feature release
-//!   binaries). With `enabled`, hooks bump plain thread-local [`Cell`]
-//!   counters — no atomics, no locks, no allocation on the query path.
+//!   `unn-spatial`, `unn-quantify`, `unn-nonzero`, `unn-dynamic` and
+//!   `unn-net` call unconditionally. Without the `enabled` feature every
+//!   hook is an empty `#[inline(always)]` function, so the instrumented
+//!   build is byte-identical to an uninstrumented one (CI asserts the marker
+//!   symbol `unn_observe_counters_enabled` is absent from default-feature
+//!   release binaries). With `enabled`, per-query hooks bump one
+//!   thread-local array of [`Cell`](std::cell::Cell)s — no atomics, no
+//!   locks, no allocation on the query path — and the transport hooks bump
+//!   one process-global array of atomics.
 //! * **Aggregation types** ([`QueryStats`], [`PipelineMetrics`],
-//!   [`Histogram`], [`MetricsSnapshot`]) — always compiled. They also carry
-//!   the *result-derived* fields (rounds used, outcome, certified accuracy)
-//!   that the `unn` observed entry points fill in from query return values,
-//!   so batch metrics stay meaningful even when the deep counters are
-//!   compiled out.
+//!   [`Histogram`]) — always compiled. They also carry the *result-derived*
+//!   fields (rounds used, outcome, certified accuracy) that the `unn`
+//!   observed entry points fill in from query return values, so batch
+//!   metrics stay meaningful even when the deep counters are compiled out.
+//!
+//! Each counter is declared once, in the [`CounterSet`] or [`NetCounters`]
+//! table below; the storage slots, the field-wise sum and the JSON keys all
+//! come from that one declaration.
 //!
 //! # Determinism contract
 //!
-//! Every non-timing field of a [`MetricsSnapshot`] is an order-independent
+//! Every non-timing field of a [`PipelineMetrics`] is an order-independent
 //! sum (or fixed-bucket histogram) of per-query quantities that are
 //! themselves pure functions of `(index, query)`. Batch runs therefore
-//! produce bit-identical deterministic snapshots for every thread count and
-//! query order ([`MetricsSnapshot::deterministic`] zeroes the timing
+//! produce bit-identical deterministic totals for every thread count and
+//! query order ([`PipelineMetrics::deterministic`] zeroes the timing
 //! fields; `tests/batch_determinism.rs` in the workspace root asserts the
 //! contract at 1/2/8 threads). Wall-clock enters only through a
 //! caller-injected [`Clock`]; tests inject [`NullClock`] and get all-zero
 //! timing.
 
-#[cfg(feature = "enabled")]
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::Mutex;
 
 /// Marker symbol for the CI codegen guard: exists if and only if the
 /// counters were compiled in, so `nm | grep` on a release binary proves the
@@ -64,143 +66,163 @@ pub fn counters_enabled() -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Per-query counters (thread-local; zero-cost when disabled)
+// Counter tables
 // ---------------------------------------------------------------------------
 
-/// The raw per-query counters the structure-level hooks populate.
-///
-/// All zeros when the `enabled` feature is off.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct CounterSet {
-    /// Kd-tree nodes expanded (all [`KdTree`](../unn_spatial) traversals:
-    /// nearest, range, `min_adjusted`, reporting).
-    pub kd_nodes_visited: u64,
-    /// Kd-tree subtrees cut by the branch-and-bound test.
-    pub kd_nodes_pruned: u64,
-    /// Points reported by `in_disk_capped` ball traversals (the
-    /// Monte-Carlo global-ball fold).
-    pub ball_points_visited: u64,
-    /// Round-forest nodes expanded (per-round descents).
-    pub forest_nodes_visited: u64,
-    /// Round-forest subtrees cut.
-    pub forest_nodes_pruned: u64,
-    /// Monte-Carlo rounds answered by the single-traversal global-ball
-    /// fold (Δ-pruned fast path).
-    pub mc_ball_rounds: u64,
-    /// Monte-Carlo rounds answered by a per-round seeded descent
-    /// (fallback / capped path).
-    pub mc_descent_rounds: u64,
-    /// Adaptive-stopping checkpoints evaluated.
-    pub mc_checkpoints: u64,
-    /// Candidates examined by the Lemma 2.1 stage-2 reporting pass
-    /// (`NN≠0` two-stage structures).
-    pub nonzero_candidates: u64,
-    /// Locations touched by the exact Eq. 2 sweep.
-    pub exact_location_touches: u64,
-    /// Blocks of a dynamic (Bentley–Saxe) index probed by this query.
-    pub dyn_blocks_probed: u64,
-    /// Tombstoned entries skipped while composing this query across a
-    /// dynamic index's blocks.
-    pub dyn_tombstones_filtered: u64,
-    /// Logarithmic-method block merges triggered (update-side counter:
-    /// bumped by `insert`, not by queries).
-    pub dyn_merges: u64,
-    /// Tombstone compactions triggered (update-side counter).
-    pub dyn_compactions: u64,
-    /// Hot-block promotions: read-heavy merge-to-one rebuilds triggered by
-    /// the read/update ratio heuristic (update-side counter).
-    pub dyn_promotions: u64,
-    /// Leaf points fed through the SoA scan kernels by this query's
-    /// tree/forest traversals.
-    pub leaf_points_scanned: u64,
-    /// Full-width lane batches executed by the SoA scan kernels
-    /// (`leaf_points_scanned / LANES`, rounded down per leaf).
-    pub simd_batches: u64,
-    /// The Δ(q) seed radius of the last Monte-Carlo query (`NaN`-free: 0
-    /// when no seed was computed).
-    pub seed_radius: f64,
-}
+/// Declares a table of `u64` counters: the public struct with one named
+/// field per counter, a private slot enum indexing the storage array, a
+/// field-wise [`add`](CounterSet::add) and a [`named`](CounterSet::named)
+/// listing in declaration order.
+macro_rules! counter_table {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident, slots $slot:ident [$len:ident] {
+            $($(#[$doc:meta])* $field:ident,)*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct $name {
+            $($(#[$doc])* pub $field: u64,)*
+        }
 
-#[cfg(feature = "enabled")]
-struct Tls {
-    kd_nodes_visited: Cell<u64>,
-    kd_nodes_pruned: Cell<u64>,
-    ball_points_visited: Cell<u64>,
-    forest_nodes_visited: Cell<u64>,
-    forest_nodes_pruned: Cell<u64>,
-    mc_ball_rounds: Cell<u64>,
-    mc_descent_rounds: Cell<u64>,
-    mc_checkpoints: Cell<u64>,
-    nonzero_candidates: Cell<u64>,
-    exact_location_touches: Cell<u64>,
-    dyn_blocks_probed: Cell<u64>,
-    dyn_tombstones_filtered: Cell<u64>,
-    dyn_merges: Cell<u64>,
-    dyn_compactions: Cell<u64>,
-    dyn_promotions: Cell<u64>,
-    leaf_points_scanned: Cell<u64>,
-    simd_batches: Cell<u64>,
-    seed_radius: Cell<f64>,
-}
+        #[allow(non_camel_case_types)]
+        enum $slot {
+            $($field,)*
+        }
 
-#[cfg(feature = "enabled")]
-thread_local! {
-    static TLS: Tls = const {
-        Tls {
-            kd_nodes_visited: Cell::new(0),
-            kd_nodes_pruned: Cell::new(0),
-            ball_points_visited: Cell::new(0),
-            forest_nodes_visited: Cell::new(0),
-            forest_nodes_pruned: Cell::new(0),
-            mc_ball_rounds: Cell::new(0),
-            mc_descent_rounds: Cell::new(0),
-            mc_checkpoints: Cell::new(0),
-            nonzero_candidates: Cell::new(0),
-            exact_location_touches: Cell::new(0),
-            dyn_blocks_probed: Cell::new(0),
-            dyn_tombstones_filtered: Cell::new(0),
-            dyn_merges: Cell::new(0),
-            dyn_compactions: Cell::new(0),
-            dyn_promotions: Cell::new(0),
-            leaf_points_scanned: Cell::new(0),
-            simd_batches: Cell::new(0),
-            seed_radius: Cell::new(0.0),
+        const $len: usize = [$(stringify!($field)),*].len();
+
+        impl $name {
+            /// Every counter as `(field name, value)`, in declaration order.
+            pub fn named(&self) -> [(&'static str, u64); $len] {
+                [$((stringify!($field), self.$field)),*]
+            }
+
+            /// Adds `other` field by field.
+            pub fn add(&mut self, other: &Self) {
+                $(self.$field += other.$field;)*
+            }
+
+            #[cfg(feature = "enabled")]
+            fn from_slots(slots: [u64; $len]) -> Self {
+                Self {
+                    $($field: slots[$slot::$field as usize],)*
+                }
+            }
         }
     };
 }
 
-macro_rules! hooks {
-    ($($(#[$doc:meta])* $name:ident => $field:ident),* $(,)?) => {
-        $(
-            $(#[$doc])*
-            #[cfg(feature = "enabled")]
-            #[inline(always)]
-            pub fn $name() {
-                TLS.with(|t| t.$field.set(t.$field.get() + 1));
-            }
-
-            $(#[$doc])*
-            #[cfg(not(feature = "enabled"))]
-            #[inline(always)]
-            pub fn $name() {}
-        )*
-    };
+counter_table! {
+    /// The raw per-query counters the structure-level hooks populate.
+    ///
+    /// All zeros when the `enabled` feature is off.
+    pub struct CounterSet, slots Slot [COUNTERS] {
+        /// Kd-tree nodes expanded (all [`KdTree`](../unn_spatial) traversals:
+        /// nearest, range, `min_adjusted`, reporting).
+        kd_nodes_visited,
+        /// Kd-tree subtrees cut by the branch-and-bound test.
+        kd_nodes_pruned,
+        /// Points reported by `in_disk_capped` ball traversals (the
+        /// Monte-Carlo global-ball fold).
+        ball_points_visited,
+        /// Round-forest nodes expanded (per-round descents).
+        forest_nodes_visited,
+        /// Round-forest subtrees cut.
+        forest_nodes_pruned,
+        /// Monte-Carlo rounds answered by the single-traversal global-ball
+        /// fold (Δ-pruned fast path).
+        mc_ball_rounds,
+        /// Monte-Carlo rounds answered by a per-round seeded descent
+        /// (fallback / capped path).
+        mc_descent_rounds,
+        /// Adaptive-stopping checkpoints evaluated.
+        mc_checkpoints,
+        /// Candidates examined by the Lemma 2.1 stage-2 reporting pass
+        /// (`NN≠0` two-stage structures).
+        nonzero_candidates,
+        /// Locations touched by the exact Eq. 2 sweep.
+        exact_location_touches,
+        /// Blocks of a dynamic (Bentley–Saxe) index probed by this query.
+        dyn_blocks_probed,
+        /// Tombstoned entries skipped while composing this query across a
+        /// dynamic index's blocks.
+        dyn_tombstones_filtered,
+        /// Logarithmic-method block merges triggered (update-side counter:
+        /// bumped by `insert`, not by queries).
+        dyn_merges,
+        /// Tombstone compactions triggered (update-side counter).
+        dyn_compactions,
+        /// Hot-block promotions: read-heavy merge-to-one rebuilds triggered by
+        /// the read/update ratio heuristic (update-side counter).
+        dyn_promotions,
+        /// Leaf points fed through the SoA scan kernels by this query's
+        /// tree/forest traversals.
+        leaf_points_scanned,
+        /// Full-width lane batches executed by the SoA scan kernels
+        /// (`leaf_points_scanned / LANES`, rounded down per leaf).
+        simd_batches,
+    }
 }
 
-macro_rules! add_hooks {
-    ($($(#[$doc:meta])* $name:ident => $field:ident),* $(,)?) => {
+counter_table! {
+    /// Totals from the network-transport hooks (`unn-net`). Unlike the
+    /// per-query [`CounterSet`] these are process-global atomics: transport
+    /// I/O happens on connection threads, not inside an observed query, so
+    /// thread-local accumulation would lose the counts. All zeros when the
+    /// `enabled` feature is off.
+    pub struct NetCounters, slots NetSlot [NET_COUNTERS] {
+        /// Frames received (after length-prefix reassembly).
+        frames_in,
+        /// Frames sent.
+        frames_out,
+        /// Body bytes received (excluding length prefixes).
+        bytes_in,
+        /// Body bytes sent (excluding length prefixes).
+        bytes_out,
+        /// Frames that failed to decode (truncated / corrupt / unknown tag).
+        decode_errors,
+        /// Handshakes rejected for a protocol-version mismatch.
+        version_mismatches,
+        /// Client reconnects (a new connection replacing a broken one).
+        reconnects,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Per-query counters (thread-local; zero-cost when disabled)
+// ---------------------------------------------------------------------------
+
+#[cfg(feature = "enabled")]
+thread_local! {
+    static TLS: [std::cell::Cell<u64>; COUNTERS] =
+        const { [const { std::cell::Cell::new(0) }; COUNTERS] };
+}
+
+#[inline(always)]
+fn bump(slot: Slot, n: u64) {
+    #[cfg(feature = "enabled")]
+    TLS.with(|t| {
+        let c = &t[slot as usize];
+        c.set(c.get() + n);
+    });
+    #[cfg(not(feature = "enabled"))]
+    let _ = (slot, n);
+}
+
+/// Per-query hooks: `name => field` bumps the field by one,
+/// `name(n) => field` by `n`.
+macro_rules! hooks {
+    (@amount) => { 1 };
+    (@amount $n:ident) => { $n };
+    ($($(#[$doc:meta])* $name:ident $(($n:ident))? => $field:ident,)*) => {
         $(
             $(#[$doc])*
-            #[cfg(feature = "enabled")]
             #[inline(always)]
-            pub fn $name(n: u64) {
-                TLS.with(|t| t.$field.set(t.$field.get() + n));
+            pub fn $name($($n: u64)?) {
+                bump(Slot::$field, hooks!(@amount $($n)?));
             }
-
-            $(#[$doc])*
-            #[cfg(not(feature = "enabled"))]
-            #[inline(always)]
-            pub fn $name(_n: u64) {}
         )*
     };
 }
@@ -224,6 +246,8 @@ hooks! {
     mc_checkpoint => mc_checkpoints,
     /// One Lemma 2.1 stage-2 candidate examined.
     nonzero_candidate => nonzero_candidates,
+    /// `n` locations touched by the exact quantification sweep.
+    exact_touches(n) => exact_location_touches,
     /// One dynamic-index block probed by a composed query.
     dyn_block_probed => dyn_blocks_probed,
     /// One tombstoned entry filtered out of a composed query.
@@ -235,255 +259,103 @@ hooks! {
     /// One hot-block promotion: read-ratio-triggered merge-to-one (update
     /// side).
     dyn_promotion => dyn_promotions,
-}
-
-add_hooks! {
-    /// `n` locations touched by the exact quantification sweep.
-    exact_touches => exact_location_touches,
-    /// `n` Monte-Carlo rounds answered by the global-ball fold at once.
-    mc_ball_rounds_add => mc_ball_rounds,
     /// `n` leaf points fed through an SoA scan kernel.
-    leaf_points => leaf_points_scanned,
+    leaf_points(n) => leaf_points_scanned,
     /// `n` full-width lane batches executed by an SoA scan kernel.
-    simd_batches_add => simd_batches,
+    simd_batches_add(n) => simd_batches,
 }
-
-/// Records the Δ(q) seed radius of the current query.
-#[cfg(feature = "enabled")]
-#[inline(always)]
-pub fn seed_radius(r: f64) {
-    TLS.with(|t| t.seed_radius.set(r));
-}
-
-/// Records the Δ(q) seed radius of the current query.
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-pub fn seed_radius(_r: f64) {}
 
 /// Resets the thread-local counters; call at the start of an observed
 /// query. No-op (and free) when the counters are compiled out.
-#[cfg(feature = "enabled")]
-#[inline]
+#[inline(always)]
 pub fn begin_query() {
-    TLS.with(|t| {
-        t.kd_nodes_visited.set(0);
-        t.kd_nodes_pruned.set(0);
-        t.ball_points_visited.set(0);
-        t.forest_nodes_visited.set(0);
-        t.forest_nodes_pruned.set(0);
-        t.mc_ball_rounds.set(0);
-        t.mc_descent_rounds.set(0);
-        t.mc_checkpoints.set(0);
-        t.nonzero_candidates.set(0);
-        t.exact_location_touches.set(0);
-        t.dyn_blocks_probed.set(0);
-        t.dyn_tombstones_filtered.set(0);
-        t.dyn_merges.set(0);
-        t.dyn_compactions.set(0);
-        t.dyn_promotions.set(0);
-        t.leaf_points_scanned.set(0);
-        t.simd_batches.set(0);
-        t.seed_radius.set(0.0);
-    });
-}
-
-/// Resets the thread-local counters; call at the start of an observed
-/// query. No-op (and free) when the counters are compiled out.
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-pub fn begin_query() {}
-
-/// Reads the thread-local counters accumulated since [`begin_query`].
-/// All-zero when the counters are compiled out.
-#[cfg(feature = "enabled")]
-#[inline]
-pub fn take_counters() -> CounterSet {
-    TLS.with(|t| CounterSet {
-        kd_nodes_visited: t.kd_nodes_visited.get(),
-        kd_nodes_pruned: t.kd_nodes_pruned.get(),
-        ball_points_visited: t.ball_points_visited.get(),
-        forest_nodes_visited: t.forest_nodes_visited.get(),
-        forest_nodes_pruned: t.forest_nodes_pruned.get(),
-        mc_ball_rounds: t.mc_ball_rounds.get(),
-        mc_descent_rounds: t.mc_descent_rounds.get(),
-        mc_checkpoints: t.mc_checkpoints.get(),
-        nonzero_candidates: t.nonzero_candidates.get(),
-        exact_location_touches: t.exact_location_touches.get(),
-        dyn_blocks_probed: t.dyn_blocks_probed.get(),
-        dyn_tombstones_filtered: t.dyn_tombstones_filtered.get(),
-        dyn_merges: t.dyn_merges.get(),
-        dyn_compactions: t.dyn_compactions.get(),
-        dyn_promotions: t.dyn_promotions.get(),
-        leaf_points_scanned: t.leaf_points_scanned.get(),
-        simd_batches: t.simd_batches.get(),
-        seed_radius: t.seed_radius.get(),
-    })
+    #[cfg(feature = "enabled")]
+    TLS.with(|t| t.iter().for_each(|c| c.set(0)));
 }
 
 /// Reads the thread-local counters accumulated since [`begin_query`].
 /// All-zero when the counters are compiled out.
-#[cfg(not(feature = "enabled"))]
 #[inline(always)]
 pub fn take_counters() -> CounterSet {
-    CounterSet::default()
+    #[cfg(feature = "enabled")]
+    {
+        TLS.with(|t| CounterSet::from_slots(std::array::from_fn(|i| t[i].get())))
+    }
+    #[cfg(not(feature = "enabled"))]
+    {
+        CounterSet::default()
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Network transport counters (process-global; zero-cost when disabled)
 // ---------------------------------------------------------------------------
 
-/// Totals from the network-transport hooks (`unn-net`). Unlike the
-/// per-query [`CounterSet`] these are process-global atomics: transport
-/// I/O happens on connection threads, not inside an observed query, so
-/// thread-local accumulation would lose the counts. All zeros when the
-/// `enabled` feature is off.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NetCounters {
-    /// Frames received (after length-prefix reassembly).
-    pub frames_in: u64,
-    /// Frames sent.
-    pub frames_out: u64,
-    /// Body bytes received (excluding length prefixes).
-    pub bytes_in: u64,
-    /// Body bytes sent (excluding length prefixes).
-    pub bytes_out: u64,
-    /// Frames that failed to decode (truncated / corrupt / unknown tag).
-    pub decode_errors: u64,
-    /// Handshakes rejected for a protocol-version mismatch.
-    pub version_mismatches: u64,
-    /// Client reconnects (a new connection replacing a broken one).
-    pub reconnects: u64,
-}
-
-impl NetCounters {
-    /// Merges another counter set in (field-wise sum).
-    pub fn merge(&mut self, other: &NetCounters) {
-        self.frames_in += other.frames_in;
-        self.frames_out += other.frames_out;
-        self.bytes_in += other.bytes_in;
-        self.bytes_out += other.bytes_out;
-        self.decode_errors += other.decode_errors;
-        self.version_mismatches += other.version_mismatches;
-        self.reconnects += other.reconnects;
-    }
-}
-
 #[cfg(feature = "enabled")]
-mod net_atomics {
-    use std::sync::atomic::AtomicU64;
+static NET: [AtomicU64; NET_COUNTERS] = [const { AtomicU64::new(0) }; NET_COUNTERS];
 
-    pub static FRAMES_IN: AtomicU64 = AtomicU64::new(0);
-    pub static FRAMES_OUT: AtomicU64 = AtomicU64::new(0);
-    pub static BYTES_IN: AtomicU64 = AtomicU64::new(0);
-    pub static BYTES_OUT: AtomicU64 = AtomicU64::new(0);
-    pub static DECODE_ERRORS: AtomicU64 = AtomicU64::new(0);
-    pub static VERSION_MISMATCHES: AtomicU64 = AtomicU64::new(0);
-    pub static RECONNECTS: AtomicU64 = AtomicU64::new(0);
+#[inline(always)]
+fn net_bump(slot: NetSlot, n: u64) {
+    #[cfg(feature = "enabled")]
+    NET[slot as usize].fetch_add(n, AtomicOrdering::Relaxed);
+    #[cfg(not(feature = "enabled"))]
+    let _ = (slot, n);
 }
 
 /// One frame of `bytes` body bytes received.
-#[cfg(feature = "enabled")]
 #[inline(always)]
 pub fn net_frame_in(bytes: u64) {
-    net_atomics::FRAMES_IN.fetch_add(1, AtomicOrdering::Relaxed);
-    net_atomics::BYTES_IN.fetch_add(bytes, AtomicOrdering::Relaxed);
+    net_bump(NetSlot::frames_in, 1);
+    net_bump(NetSlot::bytes_in, bytes);
 }
 
-/// One frame of `bytes` body bytes received.
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-pub fn net_frame_in(_bytes: u64) {}
-
 /// One frame of `bytes` body bytes sent.
-#[cfg(feature = "enabled")]
 #[inline(always)]
 pub fn net_frame_out(bytes: u64) {
-    net_atomics::FRAMES_OUT.fetch_add(1, AtomicOrdering::Relaxed);
-    net_atomics::BYTES_OUT.fetch_add(bytes, AtomicOrdering::Relaxed);
+    net_bump(NetSlot::frames_out, 1);
+    net_bump(NetSlot::bytes_out, bytes);
 }
 
-/// One frame of `bytes` body bytes sent.
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-pub fn net_frame_out(_bytes: u64) {}
-
 /// One frame rejected by the decoder.
-#[cfg(feature = "enabled")]
 #[inline(always)]
 pub fn net_decode_error() {
-    net_atomics::DECODE_ERRORS.fetch_add(1, AtomicOrdering::Relaxed);
+    net_bump(NetSlot::decode_errors, 1);
 }
 
-/// One frame rejected by the decoder.
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-pub fn net_decode_error() {}
-
 /// One handshake rejected for a version mismatch.
-#[cfg(feature = "enabled")]
 #[inline(always)]
 pub fn net_version_mismatch() {
-    net_atomics::VERSION_MISMATCHES.fetch_add(1, AtomicOrdering::Relaxed);
+    net_bump(NetSlot::version_mismatches, 1);
 }
 
-/// One handshake rejected for a version mismatch.
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-pub fn net_version_mismatch() {}
-
 /// One client reconnect.
-#[cfg(feature = "enabled")]
 #[inline(always)]
 pub fn net_reconnect() {
-    net_atomics::RECONNECTS.fetch_add(1, AtomicOrdering::Relaxed);
+    net_bump(NetSlot::reconnects, 1);
 }
-
-/// One client reconnect.
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-pub fn net_reconnect() {}
 
 /// Reads the process-global network counters. All-zero when the counters
 /// are compiled out.
-#[cfg(feature = "enabled")]
+#[inline]
 pub fn net_counters() -> NetCounters {
-    let load = |a: &AtomicU64| a.load(AtomicOrdering::Relaxed);
-    NetCounters {
-        frames_in: load(&net_atomics::FRAMES_IN),
-        frames_out: load(&net_atomics::FRAMES_OUT),
-        bytes_in: load(&net_atomics::BYTES_IN),
-        bytes_out: load(&net_atomics::BYTES_OUT),
-        decode_errors: load(&net_atomics::DECODE_ERRORS),
-        version_mismatches: load(&net_atomics::VERSION_MISMATCHES),
-        reconnects: load(&net_atomics::RECONNECTS),
+    #[cfg(feature = "enabled")]
+    {
+        NetCounters::from_slots(std::array::from_fn(|i| {
+            NET[i].load(AtomicOrdering::Relaxed)
+        }))
+    }
+    #[cfg(not(feature = "enabled"))]
+    {
+        NetCounters::default()
     }
 }
 
-/// Reads the process-global network counters. All-zero when the counters
-/// are compiled out.
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-pub fn net_counters() -> NetCounters {
-    NetCounters::default()
-}
-
 /// Zeroes the process-global network counters (test isolation).
-#[cfg(feature = "enabled")]
+#[inline]
 pub fn net_counters_reset() {
-    let zero = |a: &AtomicU64| a.store(0, AtomicOrdering::Relaxed);
-    zero(&net_atomics::FRAMES_IN);
-    zero(&net_atomics::FRAMES_OUT);
-    zero(&net_atomics::BYTES_IN);
-    zero(&net_atomics::BYTES_OUT);
-    zero(&net_atomics::DECODE_ERRORS);
-    zero(&net_atomics::VERSION_MISMATCHES);
-    zero(&net_atomics::RECONNECTS);
+    #[cfg(feature = "enabled")]
+    NET.iter().for_each(|a| a.store(0, AtomicOrdering::Relaxed));
 }
-
-/// Zeroes the process-global network counters (test isolation).
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-pub fn net_counters_reset() {}
 
 // ---------------------------------------------------------------------------
 // Per-query stats and clocks
@@ -502,8 +374,8 @@ pub enum QueryOutcome {
 }
 
 /// Stable labels for the `UnnError` variants, in declaration order; the
-/// keys of [`MetricsShard::error_counts`]. `unn-observe` cannot depend on
-/// `unn`, so errors cross the boundary as `&'static str` labels.
+/// keys of [`PipelineMetrics::error_counts`]. `unn-observe` cannot depend
+/// on `unn`, so errors cross the boundary as `&'static str` labels.
 pub const ERROR_LABELS: [&str; 5] = [
     "invalid_distribution",
     "invalid_config",
@@ -544,7 +416,7 @@ pub struct QueryStats {
 
 /// Caller-injected time source: the only way wall-clock enters the
 /// pipeline, so determinism tests can inject [`NullClock`] and compare
-/// snapshots bit-for-bit.
+/// metrics bit-for-bit.
 pub trait Clock: Sync {
     /// Nanoseconds from an arbitrary fixed origin (monotonic).
     fn now_nanos(&self) -> u64;
@@ -699,46 +571,15 @@ impl Histogram {
 // Pipeline metrics
 // ---------------------------------------------------------------------------
 
-/// One worker's (or one aggregate's) metric totals. Every field except the
-/// timing pair at the bottom is deterministic under the batch contract.
+/// Metric totals over the queries of one or more batches, with renderers.
+/// Every field except the timing pair at the bottom is deterministic under
+/// the batch contract.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct MetricsShard {
+pub struct PipelineMetrics {
     /// Queries recorded.
     pub queries: u64,
-    /// Sum of [`CounterSet::kd_nodes_visited`] over recorded queries.
-    pub kd_nodes_visited: u64,
-    /// Sum of kd subtree prunes.
-    pub kd_nodes_pruned: u64,
-    /// Sum of ball-traversal point reports.
-    pub ball_points_visited: u64,
-    /// Sum of round-forest node expansions.
-    pub forest_nodes_visited: u64,
-    /// Sum of round-forest prunes.
-    pub forest_nodes_pruned: u64,
-    /// Rounds answered by the global-ball fold.
-    pub mc_ball_rounds: u64,
-    /// Rounds answered by per-round descents.
-    pub mc_descent_rounds: u64,
-    /// Adaptive checkpoints evaluated.
-    pub mc_checkpoints: u64,
-    /// Lemma 2.1 stage-2 candidates examined.
-    pub nonzero_candidates: u64,
-    /// Exact-sweep location touches.
-    pub exact_location_touches: u64,
-    /// Dynamic-index blocks probed by composed queries.
-    pub dyn_blocks_probed: u64,
-    /// Tombstones filtered out of composed queries.
-    pub dyn_tombstones_filtered: u64,
-    /// Dynamic-index block merges (update side).
-    pub dyn_merges: u64,
-    /// Dynamic-index tombstone compactions (update side).
-    pub dyn_compactions: u64,
-    /// Dynamic-index hot-block promotions (update side).
-    pub dyn_promotions: u64,
-    /// Leaf points fed through the SoA scan kernels.
-    pub leaf_points_scanned: u64,
-    /// Full-width lane batches executed by the SoA scan kernels.
-    pub simd_batches: u64,
+    /// Sums of the per-query [`CounterSet`]s.
+    pub counters: CounterSet,
     /// Sum of Monte-Carlo rounds consumed.
     pub rounds_used: u64,
     /// Sum of rounds available (`s` per MC query).
@@ -749,41 +590,30 @@ pub struct MetricsShard {
     pub degraded_count: u64,
     /// Typed-error counts, keyed by [`ERROR_LABELS`].
     pub error_counts: [u64; ERROR_LABELS.len()],
-    /// Network-transport totals folded in via [`MetricsShard::absorb_net`]
-    /// (all-zero for purely in-process runs).
+    /// Network-transport totals folded in via
+    /// [`PipelineMetrics::absorb_net`] (all-zero for purely in-process
+    /// runs).
     pub net: NetCounters,
     /// Histogram of per-query `rounds_used`.
     pub rounds_hist: Histogram,
     /// Histogram of per-query wall nanoseconds — **timing**, excluded from
-    /// the deterministic snapshot.
+    /// [`PipelineMetrics::deterministic`].
     pub latency_hist: Histogram,
-    /// Total wall nanoseconds — **timing**, excluded from the
-    /// deterministic snapshot.
+    /// Total wall nanoseconds — **timing**, excluded from
+    /// [`PipelineMetrics::deterministic`].
     pub wall_nanos: u128,
 }
 
-impl MetricsShard {
+impl PipelineMetrics {
+    /// Empty totals.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
     /// Folds one query's stats in.
     pub fn record(&mut self, stats: &QueryStats) {
         self.queries += 1;
-        let c = &stats.counters;
-        self.kd_nodes_visited += c.kd_nodes_visited;
-        self.kd_nodes_pruned += c.kd_nodes_pruned;
-        self.ball_points_visited += c.ball_points_visited;
-        self.forest_nodes_visited += c.forest_nodes_visited;
-        self.forest_nodes_pruned += c.forest_nodes_pruned;
-        self.mc_ball_rounds += c.mc_ball_rounds;
-        self.mc_descent_rounds += c.mc_descent_rounds;
-        self.mc_checkpoints += c.mc_checkpoints;
-        self.nonzero_candidates += c.nonzero_candidates;
-        self.exact_location_touches += c.exact_location_touches;
-        self.dyn_blocks_probed += c.dyn_blocks_probed;
-        self.dyn_tombstones_filtered += c.dyn_tombstones_filtered;
-        self.dyn_merges += c.dyn_merges;
-        self.dyn_compactions += c.dyn_compactions;
-        self.dyn_promotions += c.dyn_promotions;
-        self.leaf_points_scanned += c.leaf_points_scanned;
-        self.simd_batches += c.simd_batches;
+        self.counters.add(&stats.counters);
         self.rounds_used += stats.rounds_used;
         self.rounds_total += stats.rounds_total;
         match stats.outcome {
@@ -801,162 +631,50 @@ impl MetricsShard {
     }
 
     /// Folds network-transport totals in (typically the [`net_counters`]
-    /// reading taken when the snapshot is assembled).
+    /// reading taken when the metrics are rendered).
     pub fn absorb_net(&mut self, net: &NetCounters) {
-        self.net.merge(net);
+        self.net.add(net);
     }
 
-    /// Merges another shard in (field-wise sum).
-    pub fn merge(&mut self, other: &MetricsShard) {
-        self.queries += other.queries;
-        self.kd_nodes_visited += other.kd_nodes_visited;
-        self.kd_nodes_pruned += other.kd_nodes_pruned;
-        self.ball_points_visited += other.ball_points_visited;
-        self.forest_nodes_visited += other.forest_nodes_visited;
-        self.forest_nodes_pruned += other.forest_nodes_pruned;
-        self.mc_ball_rounds += other.mc_ball_rounds;
-        self.mc_descent_rounds += other.mc_descent_rounds;
-        self.mc_checkpoints += other.mc_checkpoints;
-        self.nonzero_candidates += other.nonzero_candidates;
-        self.exact_location_touches += other.exact_location_touches;
-        self.dyn_blocks_probed += other.dyn_blocks_probed;
-        self.dyn_tombstones_filtered += other.dyn_tombstones_filtered;
-        self.dyn_merges += other.dyn_merges;
-        self.dyn_compactions += other.dyn_compactions;
-        self.dyn_promotions += other.dyn_promotions;
-        self.leaf_points_scanned += other.leaf_points_scanned;
-        self.simd_batches += other.simd_batches;
-        self.rounds_used += other.rounds_used;
-        self.rounds_total += other.rounds_total;
-        self.exact_count += other.exact_count;
-        self.degraded_count += other.degraded_count;
-        for (a, b) in self.error_counts.iter_mut().zip(&other.error_counts) {
-            *a += b;
-        }
-        self.net.merge(&other.net);
-        self.rounds_hist.merge(&other.rounds_hist);
-        self.latency_hist.merge(&other.latency_hist);
-        self.wall_nanos += other.wall_nanos;
-    }
-}
-
-/// Batch-run metrics aggregator: workers record into private
-/// [`ShardHandle`]s (no contention on the query path) which merge into the
-/// shared total once, when the worker's handle drops.
-#[derive(Debug, Default)]
-pub struct PipelineMetrics {
-    total: Mutex<MetricsShard>,
-}
-
-impl PipelineMetrics {
-    /// An empty aggregator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A private per-worker shard; its totals join [`snapshot`] when the
-    /// handle drops. Hand one to each worker (e.g. via rayon `map_init`).
-    ///
-    /// [`snapshot`]: PipelineMetrics::snapshot
-    pub fn shard(&self) -> ShardHandle<'_> {
-        ShardHandle {
-            local: MetricsShard::default(),
-            sink: self,
-        }
-    }
-
-    /// Records one query directly into the shared total (takes the lock;
-    /// fine for sequential use, use [`PipelineMetrics::shard`] in workers).
-    pub fn record(&self, stats: &QueryStats) {
-        self.lock().record(stats);
-    }
-
-    /// The current totals. Shards still held by live handles are not
-    /// included — snapshot after the batch completes.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            shard: self.lock().clone(),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, MetricsShard> {
-        // A poisoned lock only means a worker panicked mid-merge; the
-        // counters are still well-formed sums, so heal and continue.
-        self.total.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn absorb(&self, shard: &MetricsShard) {
-        self.lock().merge(shard);
-    }
-}
-
-/// A worker-private recording surface for one [`PipelineMetrics`]; merges
-/// into the shared total on drop.
-#[derive(Debug)]
-pub struct ShardHandle<'a> {
-    local: MetricsShard,
-    sink: &'a PipelineMetrics,
-}
-
-impl ShardHandle<'_> {
-    /// Folds one query's stats into this worker's private shard.
-    pub fn record(&mut self, stats: &QueryStats) {
-        self.local.record(stats);
-    }
-}
-
-impl Drop for ShardHandle<'_> {
-    fn drop(&mut self) {
-        self.sink.absorb(&self.local);
-    }
-}
-
-/// A point-in-time copy of a [`PipelineMetrics`] total, with renderers.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MetricsSnapshot {
-    /// The aggregated totals.
-    pub shard: MetricsShard,
-}
-
-impl MetricsSnapshot {
-    /// The snapshot with its timing fields (latency histogram, wall-clock
+    /// The totals with their timing fields (latency histogram, wall-clock
     /// total) zeroed: equal across thread counts and query orders for
     /// deterministic workloads — the value the determinism tests compare.
-    pub fn deterministic(&self) -> MetricsShard {
-        let mut s = self.shard.clone();
-        s.latency_hist = Histogram::default();
-        s.wall_nanos = 0;
-        s
+    pub fn deterministic(&self) -> PipelineMetrics {
+        PipelineMetrics {
+            latency_hist: Histogram::default(),
+            wall_nanos: 0,
+            ..self.clone()
+        }
     }
 
     /// Human-readable multi-line rendering.
     pub fn render_text(&self) -> String {
         use std::fmt::Write as _;
-        let s = &self.shard;
+        let (s, c, net) = (self, &self.counters, &self.net);
         let mut out = String::new();
         let _ = writeln!(out, "pipeline metrics: {} queries", s.queries);
         let _ = writeln!(
             out,
             "  kd nodes     visited {:>12}  pruned {:>12}  ({:.1}% cut)",
-            s.kd_nodes_visited,
-            s.kd_nodes_pruned,
-            pct(s.kd_nodes_pruned, s.kd_nodes_visited + s.kd_nodes_pruned),
+            c.kd_nodes_visited,
+            c.kd_nodes_pruned,
+            pct(c.kd_nodes_pruned, c.kd_nodes_visited + c.kd_nodes_pruned),
         );
         let _ = writeln!(
             out,
             "  forest nodes visited {:>12}  pruned {:>12}  ({:.1}% cut)",
-            s.forest_nodes_visited,
-            s.forest_nodes_pruned,
+            c.forest_nodes_visited,
+            c.forest_nodes_pruned,
             pct(
-                s.forest_nodes_pruned,
-                s.forest_nodes_visited + s.forest_nodes_pruned
+                c.forest_nodes_pruned,
+                c.forest_nodes_visited + c.forest_nodes_pruned
             ),
         );
-        let _ = writeln!(out, "  ball points visited  {:>12}", s.ball_points_visited);
+        let _ = writeln!(out, "  ball points visited  {:>12}", c.ball_points_visited);
         let _ = writeln!(
             out,
             "  mc rounds    ball {:>12}  descent {:>12}  checkpoints {}",
-            s.mc_ball_rounds, s.mc_descent_rounds, s.mc_checkpoints
+            c.mc_ball_rounds, c.mc_descent_rounds, c.mc_checkpoints
         );
         let _ = writeln!(
             out,
@@ -973,32 +691,32 @@ impl MetricsSnapshot {
         let _ = writeln!(
             out,
             "  nonzero candidates {}; exact sweep touches {}",
-            s.nonzero_candidates, s.exact_location_touches
+            c.nonzero_candidates, c.exact_location_touches
         );
         let _ = writeln!(
             out,
             "  dynamic: blocks probed {}, tombstones filtered {}, merges {}, compactions {}, promotions {}",
-            s.dyn_blocks_probed,
-            s.dyn_tombstones_filtered,
-            s.dyn_merges,
-            s.dyn_compactions,
-            s.dyn_promotions
+            c.dyn_blocks_probed,
+            c.dyn_tombstones_filtered,
+            c.dyn_merges,
+            c.dyn_compactions,
+            c.dyn_promotions
         );
         let _ = writeln!(
             out,
             "  kernels: leaf points scanned {}, simd batches {}",
-            s.leaf_points_scanned, s.simd_batches
+            c.leaf_points_scanned, c.simd_batches
         );
         let _ = writeln!(
             out,
             "  net: frames {}/{} in/out, bytes {}/{} in/out, decode errors {}, version mismatches {}, reconnects {}",
-            s.net.frames_in,
-            s.net.frames_out,
-            s.net.bytes_in,
-            s.net.bytes_out,
-            s.net.decode_errors,
-            s.net.version_mismatches,
-            s.net.reconnects
+            net.frames_in,
+            net.frames_out,
+            net.bytes_in,
+            net.bytes_out,
+            net.decode_errors,
+            net.version_mismatches,
+            net.reconnects
         );
         let _ = writeln!(
             out,
@@ -1007,9 +725,9 @@ impl MetricsSnapshot {
             s.degraded_count,
             s.error_counts.iter().sum::<u64>()
         );
-        for (i, &c) in s.error_counts.iter().enumerate() {
-            if c > 0 {
-                let _ = writeln!(out, "    {}: {}", ERROR_LABELS[i], c);
+        for (label, &n) in ERROR_LABELS.iter().zip(&s.error_counts) {
+            if n > 0 {
+                let _ = writeln!(out, "    {label}: {n}");
             }
         }
         let _ = writeln!(
@@ -1024,84 +742,38 @@ impl MetricsSnapshot {
 
     /// JSON rendering (flat object; histograms as bucket arrays).
     pub fn render_json(&self) -> String {
-        let s = &self.shard;
+        use std::fmt::Write as _;
+        let mut out = format!("{{\n  \"queries\": {},\n", self.queries);
+        let totals = [
+            ("rounds_used", self.rounds_used),
+            ("rounds_total", self.rounds_total),
+            ("exact_count", self.exact_count),
+            ("degraded_count", self.degraded_count),
+        ];
+        for (key, value) in self.counters.named().into_iter().chain(totals) {
+            let _ = writeln!(out, "  \"{key}\": {value},");
+        }
+        for (key, value) in self.net.named() {
+            let _ = writeln!(out, "  \"net_{key}\": {value},");
+        }
         let errors: Vec<String> = ERROR_LABELS
             .iter()
-            .zip(&s.error_counts)
+            .zip(&self.error_counts)
             .map(|(l, c)| format!("\"{l}\": {c}"))
             .collect();
-        format!(
-            concat!(
-                "{{\n",
-                "  \"queries\": {},\n",
-                "  \"kd_nodes_visited\": {},\n",
-                "  \"kd_nodes_pruned\": {},\n",
-                "  \"ball_points_visited\": {},\n",
-                "  \"forest_nodes_visited\": {},\n",
-                "  \"forest_nodes_pruned\": {},\n",
-                "  \"mc_ball_rounds\": {},\n",
-                "  \"mc_descent_rounds\": {},\n",
-                "  \"mc_checkpoints\": {},\n",
-                "  \"nonzero_candidates\": {},\n",
-                "  \"exact_location_touches\": {},\n",
-                "  \"dyn_blocks_probed\": {},\n",
-                "  \"dyn_tombstones_filtered\": {},\n",
-                "  \"dyn_merges\": {},\n",
-                "  \"dyn_compactions\": {},\n",
-                "  \"dyn_promotions\": {},\n",
-                "  \"leaf_points_scanned\": {},\n",
-                "  \"simd_batches\": {},\n",
-                "  \"rounds_used\": {},\n",
-                "  \"rounds_total\": {},\n",
-                "  \"exact_count\": {},\n",
-                "  \"degraded_count\": {},\n",
-                "  \"net_frames_in\": {},\n",
-                "  \"net_frames_out\": {},\n",
-                "  \"net_bytes_in\": {},\n",
-                "  \"net_bytes_out\": {},\n",
-                "  \"net_decode_errors\": {},\n",
-                "  \"net_version_mismatches\": {},\n",
-                "  \"net_reconnects\": {},\n",
-                "  \"error_counts\": {{ {} }},\n",
-                "  \"rounds_hist\": {},\n",
-                "  \"latency_hist\": {},\n",
-                "  \"wall_nanos\": {}\n",
-                "}}"
-            ),
-            s.queries,
-            s.kd_nodes_visited,
-            s.kd_nodes_pruned,
-            s.ball_points_visited,
-            s.forest_nodes_visited,
-            s.forest_nodes_pruned,
-            s.mc_ball_rounds,
-            s.mc_descent_rounds,
-            s.mc_checkpoints,
-            s.nonzero_candidates,
-            s.exact_location_touches,
-            s.dyn_blocks_probed,
-            s.dyn_tombstones_filtered,
-            s.dyn_merges,
-            s.dyn_compactions,
-            s.dyn_promotions,
-            s.leaf_points_scanned,
-            s.simd_batches,
-            s.rounds_used,
-            s.rounds_total,
-            s.exact_count,
-            s.degraded_count,
-            s.net.frames_in,
-            s.net.frames_out,
-            s.net.bytes_in,
-            s.net.bytes_out,
-            s.net.decode_errors,
-            s.net.version_mismatches,
-            s.net.reconnects,
-            errors.join(", "),
-            json_buckets(&s.rounds_hist),
-            json_buckets(&s.latency_hist),
-            s.wall_nanos,
-        )
+        let _ = writeln!(out, "  \"error_counts\": {{ {} }},", errors.join(", "));
+        let _ = writeln!(
+            out,
+            "  \"rounds_hist\": {},",
+            json_buckets(&self.rounds_hist)
+        );
+        let _ = writeln!(
+            out,
+            "  \"latency_hist\": {},",
+            json_buckets(&self.latency_hist)
+        );
+        let _ = write!(out, "  \"wall_nanos\": {}\n}}", self.wall_nanos);
+        out
     }
 }
 
@@ -1129,7 +801,7 @@ fn json_buckets(h: &Histogram) -> String {
 
 /// Counter totals for the sharded serving tier (`unn-serve`): admission
 /// outcomes, fault handling, breaker lifecycle, and per-shard latency.
-/// Like [`MetricsShard`], everything except the latency histograms is
+/// Like [`PipelineMetrics`], everything except the latency histograms is
 /// deterministic for a deterministic workload (and under a deterministic
 /// clock the histograms are too).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -1193,44 +865,6 @@ impl ServeCounters {
         }
     }
 
-    /// Merges another counter set in (field-wise sum; per-shard vectors are
-    /// extended to the longer length).
-    pub fn merge(&mut self, other: &ServeCounters) {
-        self.queries += other.queries;
-        self.answered_exact += other.answered_exact;
-        self.answered_adaptive += other.answered_adaptive;
-        self.answered_capped += other.answered_capped;
-        self.answered_nonzero += other.answered_nonzero;
-        self.shed += other.shed;
-        self.shed_capacity += other.shed_capacity;
-        self.shed_invalid += other.shed_invalid;
-        self.shed_no_coverage += other.shed_no_coverage;
-        self.shed_deadline += other.shed_deadline;
-        self.degraded += other.degraded;
-        self.partial += other.partial;
-        self.retries += other.retries;
-        self.timeouts += other.timeouts;
-        self.shard_panics += other.shard_panics;
-        self.poisoned_answers += other.poisoned_answers;
-        self.exact_faults += other.exact_faults;
-        self.breaker_trips += other.breaker_trips;
-        self.breaker_recoveries += other.breaker_recoveries;
-        if self.shard_latency.len() < other.shard_latency.len() {
-            self.shard_latency
-                .resize(other.shard_latency.len(), Histogram::default());
-        }
-        for (a, b) in self.shard_latency.iter_mut().zip(&other.shard_latency) {
-            a.merge(b);
-        }
-        if self.shard_failures.len() < other.shard_failures.len() {
-            self.shard_failures.resize(other.shard_failures.len(), 0);
-        }
-        for (a, b) in self.shard_failures.iter_mut().zip(&other.shard_failures) {
-            *a += b;
-        }
-        self.query_latency.merge(&other.query_latency);
-    }
-
     /// The counters with latency histograms zeroed: the value that is equal
     /// across thread counts for a deterministic workload even under a real
     /// clock.
@@ -1239,62 +873,6 @@ impl ServeCounters {
         s.query_latency = Histogram::default();
         s.shard_latency = vec![Histogram::default(); s.shard_latency.len()];
         s
-    }
-
-    /// JSON rendering (flat object; histograms as bucket arrays).
-    pub fn render_json(&self) -> String {
-        let shard_lat: Vec<String> = self.shard_latency.iter().map(json_buckets).collect();
-        let shard_fail: Vec<String> = self.shard_failures.iter().map(u64::to_string).collect();
-        format!(
-            concat!(
-                "{{\n",
-                "  \"queries\": {},\n",
-                "  \"answered_exact\": {},\n",
-                "  \"answered_adaptive\": {},\n",
-                "  \"answered_capped\": {},\n",
-                "  \"answered_nonzero\": {},\n",
-                "  \"shed\": {},\n",
-                "  \"shed_capacity\": {},\n",
-                "  \"shed_invalid\": {},\n",
-                "  \"shed_no_coverage\": {},\n",
-                "  \"shed_deadline\": {},\n",
-                "  \"degraded\": {},\n",
-                "  \"partial\": {},\n",
-                "  \"retries\": {},\n",
-                "  \"timeouts\": {},\n",
-                "  \"shard_panics\": {},\n",
-                "  \"poisoned_answers\": {},\n",
-                "  \"exact_faults\": {},\n",
-                "  \"breaker_trips\": {},\n",
-                "  \"breaker_recoveries\": {},\n",
-                "  \"query_latency\": {},\n",
-                "  \"shard_latency\": [{}],\n",
-                "  \"shard_failures\": [{}]\n",
-                "}}"
-            ),
-            self.queries,
-            self.answered_exact,
-            self.answered_adaptive,
-            self.answered_capped,
-            self.answered_nonzero,
-            self.shed,
-            self.shed_capacity,
-            self.shed_invalid,
-            self.shed_no_coverage,
-            self.shed_deadline,
-            self.degraded,
-            self.partial,
-            self.retries,
-            self.timeouts,
-            self.shard_panics,
-            self.poisoned_answers,
-            self.exact_faults,
-            self.breaker_trips,
-            self.breaker_recoveries,
-            json_buckets(&self.query_latency),
-            shard_lat.join(", "),
-            shard_fail.join(", "),
-        )
     }
 }
 
@@ -1338,14 +916,15 @@ mod tests {
     }
 
     #[test]
-    fn shard_record_then_merge_equals_direct() {
+    fn record_counts_outcomes_and_rounds() {
         let stats = |rounds: u64, outcome: QueryOutcome| QueryStats {
             rounds_used: rounds,
             rounds_total: 100,
             outcome,
             ..QueryStats::default()
         };
-        let all = [
+        let mut metrics = PipelineMetrics::new();
+        for s in [
             stats(10, QueryOutcome::Exact),
             stats(20, QueryOutcome::Degraded),
             stats(30, QueryOutcome::Exact),
@@ -1354,45 +933,45 @@ mod tests {
                 error_label: Some("budget_exhausted"),
                 ..QueryStats::default()
             },
-        ];
-        let mut direct = MetricsShard::default();
-        for s in &all {
-            direct.record(s);
+        ] {
+            metrics.record(&s);
         }
-        let metrics = PipelineMetrics::new();
-        {
-            let mut h1 = metrics.shard();
-            let mut h2 = metrics.shard();
-            h1.record(&all[0]);
-            h2.record(&all[1]);
-            h1.record(&all[2]);
-            h2.record(&all[3]);
-        }
-        assert_eq!(metrics.snapshot().shard, direct);
-        assert_eq!(direct.exact_count, 2);
-        assert_eq!(direct.degraded_count, 1);
-        assert_eq!(direct.error_counts[3], 1);
-        assert_eq!(direct.rounds_used, 60);
+        assert_eq!(metrics.queries, 4);
+        assert_eq!(metrics.exact_count, 2);
+        assert_eq!(metrics.degraded_count, 1);
+        assert_eq!(metrics.error_counts[3], 1);
+        assert_eq!(metrics.rounds_used, 60);
+        assert_eq!(metrics.rounds_total, 300);
     }
 
     #[test]
     fn renders_do_not_panic_and_mention_totals() {
-        let metrics = PipelineMetrics::new();
+        let mut metrics = PipelineMetrics::new();
         metrics.record(&QueryStats {
             rounds_used: 12,
             rounds_total: 64,
             wall_nanos: 1500,
             ..QueryStats::default()
         });
-        let snap = metrics.snapshot();
-        let text = snap.render_text();
+        let text = metrics.render_text();
         assert!(text.contains("1 queries"));
-        let json = snap.render_json();
+        let json = metrics.render_json();
         assert!(json.contains("\"rounds_used\": 12"));
         assert!(json.contains("\"query_panicked\": 0"));
+        // Every counter of both tables has its key.
+        for (name, _) in CounterSet::default().named() {
+            assert!(json.contains(&format!("\"{name}\": ")), "json lacks {name}");
+        }
+        for (name, _) in NetCounters::default().named() {
+            assert!(
+                json.contains(&format!("\"net_{name}\": ")),
+                "json lacks {name}"
+            );
+        }
         // The deterministic view zeroes only timing.
-        let det = snap.deterministic();
+        let det = metrics.deterministic();
         assert_eq!(det.wall_nanos, 0);
+        assert_eq!(det.latency_hist, Histogram::default());
         assert_eq!(det.rounds_used, 12);
     }
 
@@ -1407,6 +986,48 @@ mod tests {
             assert_eq!(c.ball_points_visited, 1);
         } else {
             assert_eq!(c, CounterSet::default());
+        }
+    }
+
+    #[test]
+    fn each_hook_moves_only_its_own_counter() {
+        let hooks: [(fn(), &str, u64); COUNTERS] = [
+            (kd_node_visited, "kd_nodes_visited", 1),
+            (kd_node_pruned, "kd_nodes_pruned", 1),
+            (ball_point, "ball_points_visited", 1),
+            (forest_node_visited, "forest_nodes_visited", 1),
+            (forest_node_pruned, "forest_nodes_pruned", 1),
+            (mc_ball_round, "mc_ball_rounds", 1),
+            (mc_descent_round, "mc_descent_rounds", 1),
+            (mc_checkpoint, "mc_checkpoints", 1),
+            (nonzero_candidate, "nonzero_candidates", 1),
+            (|| exact_touches(5), "exact_location_touches", 5),
+            (dyn_block_probed, "dyn_blocks_probed", 1),
+            (dyn_tombstone_filtered, "dyn_tombstones_filtered", 1),
+            (dyn_merge, "dyn_merges", 1),
+            (dyn_compaction, "dyn_compactions", 1),
+            (dyn_promotion, "dyn_promotions", 1),
+            (|| leaf_points(5), "leaf_points_scanned", 5),
+            (|| simd_batches_add(5), "simd_batches", 5),
+        ];
+        let names = CounterSet::default().named().map(|(name, _)| name);
+        for name in names {
+            assert!(
+                hooks.iter().any(|&(_, field, _)| field == name),
+                "no hook bumps {name}"
+            );
+        }
+        for (hook, field, amount) in hooks {
+            begin_query();
+            hook();
+            for (name, value) in take_counters().named() {
+                let expected = if name == field && counters_enabled() {
+                    amount
+                } else {
+                    0
+                };
+                assert_eq!(value, expected, "hook for {field} moved {name}");
+            }
         }
     }
 

@@ -35,6 +35,6 @@ pub use montecarlo::{
     MonteCarloIndex, ADAPTIVE_MIN_ROUNDS,
 };
 pub use numeric::quantification_numeric;
-pub use spiral::{SpiralBackend, SpiralIndex};
+pub use spiral::SpiralIndex;
 pub use threshold::{threshold_query_spiral, ThresholdResult};
 pub use vpr::ProbabilisticVoronoi;

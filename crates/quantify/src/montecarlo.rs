@@ -234,9 +234,7 @@ impl MonteCarloIndex {
     /// seed survives floating-point rounding of `Δ(q)` itself.
     #[inline]
     fn seed_for(&self, q: Point) -> f64 {
-        let seed = self.prune_radius(q) * (1.0 + 1e-12);
-        unn_observe::seed_radius(seed);
-        seed
+        self.prune_radius(q) * (1.0 + 1e-12)
     }
 
     /// The per-round winners (object index per round, in round order).

@@ -6,22 +6,14 @@
 //! is the *spread* of location probabilities (Eq. 9): truncated locations
 //! have survival products bounded by `e^{-m'/ρk} ≤ ε`.
 //!
-//! The m-NN retrieval uses a kd-tree bounded-heap search (or the quadtree
-//! branch-and-bound of remark (ii) — both substitutions for the galactic
-//! `[AC09]` structure are benchmarked in E14).
+//! The m-NN retrieval uses a kd-tree bounded-heap search, a substitution
+//! for the galactic `[AC09]` structure. The quadtree branch-and-bound of
+//! remark (ii) is the other one; E14 still benchmarks both
+//! (`unn_spatial::QuadTree` against `unn_spatial::KdTree`).
 
 use unn_distr::DiscreteDistribution;
 use unn_geom::Point;
-use unn_spatial::{KdTree, QuadTree};
-
-/// m-NN retrieval engine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpiralBackend {
-    /// Kd-tree bounded-heap m-NN (default).
-    KdTree,
-    /// PR-quadtree branch-and-bound (paper remark (ii), `[Har11]`).
-    QuadTree,
-}
+use unn_spatial::KdTree;
 
 /// Deterministic ε-approximate quantification via truncated sweep.
 ///
@@ -41,7 +33,6 @@ pub enum SpiralBackend {
 /// ```
 pub struct SpiralIndex {
     kd: KdTree,
-    quad: QuadTree,
     /// Owner object of each flat location.
     owner: Vec<u32>,
     /// Location probability of each flat location.
@@ -73,7 +64,6 @@ impl SpiralIndex {
         let rho = if pts.is_empty() { 1.0 } else { wmax / wmin };
         SpiralIndex {
             kd: KdTree::new(&pts),
-            quad: QuadTree::new(&pts),
             owner,
             weight,
             n: objects.len(),
@@ -108,21 +98,12 @@ impl SpiralIndex {
     /// `π̂_i ≤ π_i ≤ π̂_i + ε` for every `i` (Lemma 4.6). Implicit zeros for
     /// objects with no retrieved location.
     pub fn query(&self, q: Point, eps: f64) -> Vec<f64> {
-        self.query_with(q, eps, SpiralBackend::KdTree)
-    }
-
-    /// Same, selecting the retrieval backend.
-    pub fn query_with(&self, q: Point, eps: f64, backend: SpiralBackend) -> Vec<f64> {
-        let m = self.m_for(eps);
-        let retrieved: Vec<(usize, f64)> = match backend {
-            SpiralBackend::KdTree => self
-                .kd
-                .m_nearest(q, m)
-                .into_iter()
-                .map(|nb| (nb.id, nb.dist))
-                .collect(),
-            SpiralBackend::QuadTree => self.quad.m_nearest(q, m),
-        };
+        let retrieved: Vec<(usize, f64)> = self
+            .kd
+            .m_nearest(q, self.m_for(eps))
+            .into_iter()
+            .map(|nb| (nb.id, nb.dist))
+            .collect();
         self.sweep(&retrieved)
     }
 
@@ -269,21 +250,6 @@ mod tests {
         let exact = quantification_exact(&objs, q);
         for (a, e) in approx.iter().zip(&exact) {
             assert!((a - e).abs() < 1e-9, "{a} vs {e}");
-        }
-    }
-
-    #[test]
-    fn backends_identical() {
-        let objs = random_objects(10, 4, 161, 4.0);
-        let idx = SpiralIndex::build(&objs);
-        let mut rng = SmallRng::seed_from_u64(162);
-        for _ in 0..50 {
-            let q = Point::new(rng.random_range(-30.0..30.0), rng.random_range(-30.0..30.0));
-            let a = idx.query_with(q, 0.05, SpiralBackend::KdTree);
-            let b = idx.query_with(q, 0.05, SpiralBackend::QuadTree);
-            for (x, y) in a.iter().zip(&b) {
-                assert!((x - y).abs() < 1e-12);
-            }
         }
     }
 

@@ -11,7 +11,6 @@
 //!   structure (§4.2);
 //! * [`QuadTree`] — branch-and-bound m-NN, the alternative the paper itself
 //!   recommends (§4.3 remark (ii));
-//! * [`UniformGrid`] — bucket grid, a third neighborhood backend;
 //! * [`RTree`] — STR-packed R-tree, the substrate of the `[CKP04]`
 //!   branch-and-prune baseline;
 //! * [`PersistentSet`] — path-copying persistent sets implementing the
@@ -21,7 +20,6 @@
 #![warn(missing_docs)]
 
 pub mod forest;
-pub mod grid;
 pub mod kdtree;
 pub mod persist;
 pub mod quadtree;
@@ -29,7 +27,6 @@ pub mod rtree;
 mod scan;
 
 pub use forest::KdForest;
-pub use grid::UniformGrid;
 pub use kdtree::{KdConfig, KdTree, Neighbor};
 pub use persist::PersistentSet;
 pub use quadtree::QuadTree;

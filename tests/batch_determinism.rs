@@ -262,32 +262,19 @@ fn pipeline_metrics_bit_identical_across_thread_counts() {
     for points in [discrete_points(15, 3, 540), mixed_points(15, 541)] {
         let idx = PnnIndex::new(points);
         let qs = queries(96, 542);
-        let reference = {
-            let metrics = PipelineMetrics::new();
-            idx.quantify_adaptive_batch_observed(
-                &qs,
-                0.05,
-                0.01,
-                &BatchOptions::with_threads(1),
-                &metrics,
-                &NullClock,
-            );
-            idx.nn_nonzero_batch_observed(
-                &qs,
-                &BatchOptions::with_threads(1),
-                &metrics,
-                &NullClock,
-            );
-            metrics.snapshot().deterministic()
+        let run = |opts: &BatchOptions| {
+            let mut metrics = PipelineMetrics::new();
+            idx.observed_batch(&qs, opts, &mut metrics, &NullClock, |q| {
+                idx.quantify_adaptive(q, 0.05, 0.01)
+            });
+            idx.observed_batch(&qs, opts, &mut metrics, &NullClock, |q| idx.nn_nonzero(q));
+            metrics.deterministic()
         };
+        let reference = run(&BatchOptions::with_threads(1));
         assert_eq!(reference.queries, 2 * qs.len() as u64);
         for t in THREAD_COUNTS {
-            let metrics = PipelineMetrics::new();
-            let opts = BatchOptions::with_threads(t);
-            idx.quantify_adaptive_batch_observed(&qs, 0.05, 0.01, &opts, &metrics, &NullClock);
-            idx.nn_nonzero_batch_observed(&qs, &opts, &metrics, &NullClock);
             assert_eq!(
-                metrics.snapshot().deterministic(),
+                run(&BatchOptions::with_threads(t)),
                 reference,
                 "threads = {t}"
             );
@@ -303,10 +290,12 @@ fn pipeline_metrics_invariant_under_shuffled_query_order() {
     let qs = queries(120, 544);
     let (shuffled, _) = shuffle(&qs, 545);
     let run = |qs: &[Point]| {
-        let metrics = PipelineMetrics::new();
+        let mut metrics = PipelineMetrics::new();
         let opts = BatchOptions::with_threads(4);
-        idx.quantify_adaptive_batch_observed(qs, 0.05, 0.01, &opts, &metrics, &NullClock);
-        metrics.snapshot().deterministic()
+        idx.observed_batch(qs, &opts, &mut metrics, &NullClock, |q| {
+            idx.quantify_adaptive(q, 0.05, 0.01)
+        });
+        metrics.deterministic()
     };
     assert_eq!(run(&qs), run(&shuffled));
 }
@@ -320,17 +309,13 @@ fn ten_thousand_query_metrics_bit_identical_across_thread_counts() {
     let qs = queries(10_000, 547);
     let mut snapshots = Vec::new();
     for t in THREAD_COUNTS {
-        let metrics = PipelineMetrics::new();
+        let mut metrics = PipelineMetrics::new();
         let opts = BatchOptions::with_threads(t);
-        let out = idx.quantify_guarded_batch_observed(
-            &qs,
-            unn::QueryBudget::with_work(40),
-            &opts,
-            &metrics,
-            &NullClock,
-        );
+        let out = idx.observed_batch(&qs, &opts, &mut metrics, &NullClock, |q| {
+            idx.quantify_guarded(q, unn::QueryBudget::with_work(40))
+        });
         assert_eq!(out.len(), qs.len());
-        snapshots.push(metrics.snapshot().deterministic());
+        snapshots.push(metrics.deterministic());
     }
     let first = &snapshots[0];
     assert_eq!(first.queries, qs.len() as u64);

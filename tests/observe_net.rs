@@ -14,7 +14,7 @@ use unn::net::{
 };
 use unn::serve::{DispatchConfig, Dispatcher, Request, ServeConfig, ShardPolicy, ShardSet};
 use unn::Uncertain;
-use unn_observe::{net_counters, net_counters_reset, MetricsShard, NullClock};
+use unn_observe::{net_counters, net_counters_reset, NullClock, PipelineMetrics};
 
 #[test]
 fn net_counters_track_transport_traffic_and_surface_in_renders() {
@@ -117,10 +117,9 @@ fn net_counters_track_transport_traffic_and_surface_in_renders() {
     assert_eq!(after_mismatch.version_mismatches, 1);
 
     // The totals flow into the metrics renders.
-    let mut shard = MetricsShard::default();
-    shard.absorb_net(&after_mismatch);
-    let snap = unn_observe::MetricsSnapshot { shard };
-    let text = snap.render_text();
+    let mut metrics = PipelineMetrics::new();
+    metrics.absorb_net(&after_mismatch);
+    let text = metrics.render_text();
     assert!(
         text.contains("net: frames"),
         "text render lacks net line:\n{text}"
@@ -130,7 +129,7 @@ fn net_counters_track_transport_traffic_and_surface_in_renders() {
         text.contains("reconnects 2"),
         "text render lacks reconnects:\n{text}"
     );
-    let json = snap.render_json();
+    let json = metrics.render_json();
     for key in [
         "\"net_frames_in\"",
         "\"net_frames_out\"",

@@ -225,13 +225,15 @@ fn observed_stats_match_results() {
     let (idx, qs) = shared();
     let s = idx.mc_rounds() as u64;
     for &q in &qs {
-        let (a, stats) = idx.quantify_adaptive_observed(q, EPS, DELTA, &NullClock);
+        let (a, stats) = idx.observed(&NullClock, || idx.quantify_adaptive(q, EPS, DELTA));
         assert_eq!(stats.rounds_used, a.rounds_used as u64);
         assert_eq!(stats.rounds_total, s);
         assert_eq!(stats.achieved_epsilon, a.half_width);
         assert_eq!(stats.wall_nanos, 0, "NullClock must report zero wall time");
 
-        let (res, stats) = idx.quantify_guarded_observed(q, QueryBudget::with_work(64), &NullClock);
+        let (res, stats) = idx.observed(&NullClock, || {
+            idx.quantify_guarded(q, QueryBudget::with_work(64))
+        });
         match res.unwrap() {
             QuantifyOutcome::Degraded {
                 rounds_used,
@@ -245,7 +247,9 @@ fn observed_stats_match_results() {
             QuantifyOutcome::Exact { .. } => panic!("cap 64 must degrade"),
         }
 
-        let (res, stats) = idx.quantify_guarded_observed(q, QueryBudget::unlimited(), &NullClock);
+        let (res, stats) = idx.observed(&NullClock, || {
+            idx.quantify_guarded(q, QueryBudget::unlimited())
+        });
         assert!(matches!(res, Ok(QuantifyOutcome::Exact { .. })));
         assert_eq!(stats.outcome, QueryOutcome::Exact);
     }
