@@ -3,8 +3,8 @@
 //! The build environment has no registry access, so this crate implements
 //! the subset of rayon the workspace uses on top of `std::thread::scope`:
 //!
-//! * [`prelude`] — `par_iter()` on slices, `into_par_iter()` on ranges and
-//!   vectors, with `map`, `map_init`, `enumerate`, and `collect`;
+//! * [`prelude`] — `par_iter()` on slices and vectors, with `map`,
+//!   `enumerate`, and `collect`;
 //! * [`ThreadPoolBuilder`] / [`ThreadPool::install`] — a *logical* pool:
 //!   `install` scopes a thread-count override rather than keeping worker
 //!   threads alive (workers are scoped threads spawned per parallel call,
@@ -16,8 +16,6 @@
 //! * **Deterministic output order** — `collect` returns results in input
 //!   order regardless of thread scheduling;
 //! * **No cross-item state** — `map` closures receive one item at a time;
-//!   `map_init` state is per-worker scratch, never shared between items in
-//!   a way observable by the caller;
 //! * **Panic propagation** — a panicking item panics the calling thread
 //!   after all workers have stopped.
 //!
@@ -28,7 +26,6 @@
 #![warn(missing_docs)]
 
 use std::cell::Cell;
-use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -116,26 +113,18 @@ impl ThreadPool {
 
 /// Chunked parallel map over `0..len`, preserving index order in the output.
 ///
-/// `make_state` runs once per worker; the state is threaded through every
-/// item that worker processes (scratch-buffer reuse). With `threads <= 1`
-/// the whole map runs inline on the caller with a single state.
-fn par_map_internal<R, S>(
+/// With `threads <= 1` the whole map runs inline on the caller.
+fn par_map_internal<R: Send>(
     len: usize,
     threads: usize,
-    make_state: &(dyn Fn() -> S + Sync),
-    f: &(dyn Fn(&mut S, usize) -> R + Sync),
-) -> Vec<R>
-where
-    R: Send,
-    S: Send,
-{
+    f: &(dyn Fn(usize) -> R + Sync),
+) -> Vec<R> {
     if len == 0 {
         return Vec::new();
     }
     let threads = threads.max(1).min(len);
     if threads == 1 {
-        let mut state = make_state();
-        return (0..len).map(|i| f(&mut state, i)).collect();
+        return (0..len).map(f).collect();
     }
     // Contiguous chunks claimed from an atomic cursor: deterministic
     // content (keyed by index), balanced for uniform batch workloads.
@@ -143,7 +132,6 @@ where
     let cursor = AtomicUsize::new(0);
     let worker = |_wid: usize| -> std::thread::Result<Vec<(usize, Vec<R>)>> {
         catch_unwind(AssertUnwindSafe(|| {
-            let mut state = make_state();
             let mut out = Vec::new();
             loop {
                 let start = cursor.fetch_add(chunk, Ordering::Relaxed);
@@ -151,7 +139,7 @@ where
                     break;
                 }
                 let end = (start + chunk).min(len);
-                let vals: Vec<R> = (start..end).map(|i| f(&mut state, i)).collect();
+                let vals: Vec<R> = (start..end).map(f).collect();
                 out.push((start, vals));
             }
             out
@@ -193,24 +181,6 @@ impl<R: Send> Collected<R> {
     pub fn collect<C: From<Vec<R>>>(self) -> C {
         C::from(self.0)
     }
-
-    /// Consumes results in input order.
-    pub fn for_each(self, mut f: impl FnMut(R)) {
-        self.0.into_iter().for_each(&mut f);
-    }
-
-    /// Sums the results.
-    pub fn sum<T: std::iter::Sum<R>>(self) -> T {
-        self.0.into_iter().sum()
-    }
-}
-
-impl<R> IntoIterator for Collected<R> {
-    type Item = R;
-    type IntoIter = std::vec::IntoIter<R>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.0.into_iter()
-    }
 }
 
 /// Parallel iterator over `&[T]`.
@@ -226,29 +196,9 @@ impl<'a, T: Sync> SliceParIter<'a, T> {
         F: Fn(&'a T) -> R + Sync,
     {
         let items = self.items;
-        Collected(par_map_internal(
-            items.len(),
-            current_num_threads(),
-            &|| (),
-            &|(), i| f(&items[i]),
-        ))
-    }
-
-    /// Parallel map with per-worker scratch state.
-    pub fn map_init<S, R, INIT, F>(self, init: INIT, f: F) -> Collected<R>
-    where
-        S: Send,
-        R: Send,
-        INIT: Fn() -> S + Sync,
-        F: Fn(&mut S, &'a T) -> R + Sync,
-    {
-        let items = self.items;
-        Collected(par_map_internal(
-            items.len(),
-            current_num_threads(),
-            &init,
-            &|s, i| f(s, &items[i]),
-        ))
+        Collected(par_map_internal(items.len(), current_num_threads(), &|i| {
+            f(&items[i])
+        }))
     }
 
     /// Pairs each item with its index.
@@ -270,85 +220,9 @@ impl<'a, T: Sync> EnumParIter<'a, T> {
         F: Fn((usize, &'a T)) -> R + Sync,
     {
         let items = self.items;
-        Collected(par_map_internal(
-            items.len(),
-            current_num_threads(),
-            &|| (),
-            &|(), i| f((i, &items[i])),
-        ))
-    }
-
-    /// Parallel map over `(index, &item)` with per-worker scratch state.
-    pub fn map_init<S, R, INIT, F>(self, init: INIT, f: F) -> Collected<R>
-    where
-        S: Send,
-        R: Send,
-        INIT: Fn() -> S + Sync,
-        F: Fn(&mut S, (usize, &'a T)) -> R + Sync,
-    {
-        let items = self.items;
-        Collected(par_map_internal(
-            items.len(),
-            current_num_threads(),
-            &init,
-            &|s, i| f(s, (i, &items[i])),
-        ))
-    }
-}
-
-/// Parallel iterator over an index range.
-pub struct RangeParIter {
-    range: Range<usize>,
-}
-
-impl RangeParIter {
-    /// Parallel map over the indices.
-    pub fn map<R, F>(self, f: F) -> Collected<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        let start = self.range.start;
-        let len = self.range.end.saturating_sub(start);
-        Collected(par_map_internal(
-            len,
-            current_num_threads(),
-            &|| (),
-            &|(), i| f(start + i),
-        ))
-    }
-
-    /// Parallel map over the indices with per-worker scratch state.
-    pub fn map_init<S, R, INIT, F>(self, init: INIT, f: F) -> Collected<R>
-    where
-        S: Send,
-        R: Send,
-        INIT: Fn() -> S + Sync,
-        F: Fn(&mut S, usize) -> R + Sync,
-    {
-        let start = self.range.start;
-        let len = self.range.end.saturating_sub(start);
-        Collected(par_map_internal(
-            len,
-            current_num_threads(),
-            &init,
-            &|s, i| f(s, start + i),
-        ))
-    }
-}
-
-/// Conversion into an owning/consuming parallel iterator.
-pub trait IntoParallelIterator {
-    /// The parallel-iterator type.
-    type Iter;
-    /// Converts `self`.
-    fn into_par_iter(self) -> Self::Iter;
-}
-
-impl IntoParallelIterator for Range<usize> {
-    type Iter = RangeParIter;
-    fn into_par_iter(self) -> RangeParIter {
-        RangeParIter { range: self }
+        Collected(par_map_internal(items.len(), current_num_threads(), &|i| {
+            f((i, &items[i]))
+        }))
     }
 }
 
@@ -380,7 +254,7 @@ impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
 
 pub mod prelude {
     //! `use rayon::prelude::*;`
-    pub use crate::{IntoParallelIterator, IntoParallelRefIterator};
+    pub use crate::IntoParallelRefIterator;
 }
 
 #[cfg(test)]
@@ -397,43 +271,10 @@ mod tests {
     }
 
     #[test]
-    fn enumerate_and_range() {
+    fn enumerate_pairs_items_with_input_indices() {
         let items = vec!["a", "b", "c", "d"];
         let got: Vec<(usize, &str)> = items.par_iter().enumerate().map(|(i, s)| (i, *s)).collect();
         assert_eq!(got, vec![(0, "a"), (1, "b"), (2, "c"), (3, "d")]);
-        let sq: Vec<usize> = (3..8).into_par_iter().map(|i| i * i).collect();
-        assert_eq!(sq, vec![9, 16, 25, 36, 49]);
-    }
-
-    #[test]
-    fn map_init_reuses_state_per_worker() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let inits = AtomicUsize::new(0);
-        let items: Vec<usize> = (0..50_000).collect();
-        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        let got: Vec<usize> = pool.install(|| {
-            items
-                .par_iter()
-                .map_init(
-                    || {
-                        inits.fetch_add(1, Ordering::Relaxed);
-                        Vec::<usize>::new()
-                    },
-                    |scratch, &x| {
-                        scratch.clear();
-                        scratch.push(x);
-                        scratch[0] + 1
-                    },
-                )
-                .collect()
-        });
-        assert_eq!(got.len(), items.len());
-        assert!(got.iter().enumerate().all(|(i, &v)| v == i + 1));
-        let n_inits = inits.load(Ordering::Relaxed);
-        assert!(
-            n_inits <= 4,
-            "scratch must be per-worker, got {n_inits} inits"
-        );
     }
 
     #[test]

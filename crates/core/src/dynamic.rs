@@ -38,7 +38,6 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 
-use rayon::prelude::*;
 use unn_distr::{DiscreteDistribution, Uncertain};
 use unn_dynamic::{DynamicEngine, DynamicError, EngineConfig, EngineSnapshot};
 use unn_geom::Point;
@@ -47,7 +46,6 @@ use unn_quantify::{
     MonteCarloIndex,
 };
 
-use crate::batch::BatchOptions;
 use crate::index::{PnnConfig, QuantifyMethod};
 use crate::resilience::{QuantifyOutcome, QueryBudget, UnnError, ValidationPolicy};
 
@@ -355,7 +353,7 @@ pub struct DynamicSnapshot {
     adaptive_min_rounds: usize,
 }
 
-// Snapshots fan out across rayon workers in the batch methods.
+// Snapshots fan out across rayon workers under `BatchOptions::map`.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<DynamicPnnIndex>();
@@ -537,38 +535,6 @@ impl DynamicSnapshot {
             achieved_epsilon: a.half_width,
             rounds_used: a.rounds_used,
             pi: a.pi,
-        })
-    }
-
-    /// Batched [`DynamicSnapshot::nn_nonzero`] under `opts`, bit-identical
-    /// to the sequential loop for every thread count.
-    pub fn nn_nonzero_batch_with(
-        &self,
-        queries: &[Point],
-        opts: &BatchOptions,
-    ) -> Vec<Vec<PointId>> {
-        opts.run(|| queries.par_iter().map(|&q| self.nn_nonzero(q)).collect())
-    }
-
-    /// Batched [`DynamicSnapshot::quantify`] under `opts` (probability
-    /// vectors only; the method is uniform across the batch).
-    pub fn quantify_batch_with(&self, queries: &[Point], opts: &BatchOptions) -> Vec<Vec<f64>> {
-        opts.run(|| queries.par_iter().map(|&q| self.quantify(q).0).collect())
-    }
-
-    /// Batched [`DynamicSnapshot::quantify_adaptive`] under `opts`.
-    pub fn quantify_adaptive_batch_with(
-        &self,
-        queries: &[Point],
-        eps: f64,
-        delta: f64,
-        opts: &BatchOptions,
-    ) -> Vec<AdaptiveQuantify> {
-        opts.run(|| {
-            queries
-                .par_iter()
-                .map(|&q| self.quantify_adaptive(q, eps, delta))
-                .collect()
         })
     }
 }

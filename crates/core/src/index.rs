@@ -110,7 +110,7 @@ pub enum QuantifyMethod {
     NumericIntegration,
 }
 
-pub(crate) enum NonzeroBackend {
+enum NonzeroBackend {
     // Both index variants are boxed: the kd structures inside dominate the
     // enum footprint and the backend lives once per `PnnIndex`.
     Disks(Box<DiskNonzeroIndex>),
@@ -124,20 +124,20 @@ pub(crate) enum NonzeroBackend {
 ///
 /// All query methods take `&self` and the index is `Send + Sync` (statically
 /// asserted in [`crate::batch`]), so one index can be shared across threads
-/// by reference; the batch methods in [`crate::batch`] do exactly that.
+/// by reference; [`crate::batch::BatchOptions::map`] does exactly that.
 pub struct PnnIndex {
-    pub(crate) points: Vec<Uncertain>,
-    pub(crate) config: PnnConfig,
-    pub(crate) nonzero: NonzeroBackend,
+    points: Vec<Uncertain>,
+    config: PnnConfig,
+    nonzero: NonzeroBackend,
     /// All-discrete fast path.
-    pub(crate) discrete: Option<Vec<DiscreteDistribution>>,
-    pub(crate) spiral: Option<SpiralIndex>,
-    pub(crate) mc: MonteCarloIndex,
+    discrete: Option<Vec<DiscreteDistribution>>,
+    spiral: Option<SpiralIndex>,
+    mc: MonteCarloIndex,
     /// Eq. 6 inverted at the built round count (see
     /// [`PnnIndex::mc_achieved_epsilon`]).
-    pub(crate) mc_achieved_epsilon: f64,
-    pub(crate) expected: ExpectedNnIndex,
-    pub(crate) guaranteed: Option<GuaranteedNnIndex>,
+    mc_achieved_epsilon: f64,
+    expected: ExpectedNnIndex,
+    guaranteed: Option<GuaranteedNnIndex>,
 }
 
 impl PnnIndex {
@@ -394,29 +394,18 @@ impl PnnIndex {
         }
     }
 
+    /// Generic Lemma 2.1 scan: `i` is reported when `δ_i(q)` is below
+    /// every other point's `Δ_j(q)`.
     fn nn_nonzero_generic(&self, q: Point) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.nn_nonzero_generic_into(q, &mut Vec::new(), &mut out);
-        out
-    }
-
-    /// Generic Lemma 2.1 scan into caller-provided buffers (`caps` is the
-    /// `Δ_j` scratch, `out` the result — both cleared first).
-    pub(crate) fn nn_nonzero_generic_into(
-        &self,
-        q: Point,
-        caps: &mut Vec<f64>,
-        out: &mut Vec<usize>,
-    ) {
-        caps.clear();
-        caps.extend(self.points.iter().map(|p| p.max_dist(q)));
-        out.clear();
-        out.extend((0..self.points.len()).filter(|&i| {
-            let delta_i = self.points[i].min_dist(q);
-            caps.iter()
-                .enumerate()
-                .all(|(j, &cap)| j == i || delta_i < cap)
-        }));
+        let caps: Vec<f64> = self.points.iter().map(|p| p.max_dist(q)).collect();
+        (0..self.points.len())
+            .filter(|&i| {
+                let delta_i = self.points[i].min_dist(q);
+                caps.iter()
+                    .enumerate()
+                    .all(|(j, &cap)| j == i || delta_i < cap)
+            })
+            .collect()
     }
 
     /// ε-approximate quantification probabilities (dense vector) and the
@@ -447,7 +436,7 @@ impl PnnIndex {
     /// Unlike [`PnnIndex::quantify`] this always runs on the Monte-Carlo
     /// structure (the stopping rule is specific to it); the result is a
     /// pure function of `(index, q, eps, delta)`, so the batch determinism
-    /// contract extends to [`PnnIndex::quantify_adaptive_batch`].
+    /// contract extends to it under [`crate::batch::BatchOptions::map`].
     pub fn quantify_adaptive(&self, q: Point, eps: f64, delta: f64) -> AdaptiveQuantify {
         self.mc
             .quantify_adaptive_from(q, eps, delta, self.config.adaptive_min_rounds)

@@ -44,7 +44,6 @@
 //! quantities that are themselves deterministic. Asserted at 1/2/8 threads
 //! in `tests/batch_determinism.rs`.
 
-use rayon::prelude::*;
 use unn_geom::Point;
 use unn_quantify::AdaptiveQuantify;
 
@@ -157,8 +156,8 @@ impl PnnIndex {
 
     /// [`PnnIndex::observed`] over a batch: answers `f(q)` for every query
     /// in parallel under `opts`, then records each query's stats into
-    /// `metrics` in input order. The answers are those of the unobserved
-    /// batch.
+    /// `metrics` in input order. The answers are those of
+    /// `opts.map(queries, f)`.
     pub fn observed_batch<T: Observed + Send>(
         &self,
         queries: &[Point],
@@ -167,12 +166,7 @@ impl PnnIndex {
         clock: &dyn Clock,
         f: impl Fn(Point) -> T + Sync,
     ) -> Vec<T> {
-        let observed: Vec<(T, QueryStats)> = opts.run(|| {
-            queries
-                .par_iter()
-                .map(|&q| self.observed(clock, || f(q)))
-                .collect()
-        });
+        let observed = opts.map(queries, |q| self.observed(clock, || f(q)));
         observed
             .into_iter()
             .map(|(answer, stats)| {
@@ -240,7 +234,10 @@ mod tests {
         let idx = index();
         let queries: Vec<Point> = (0..40).map(|i| Point::new(i as f64 * 0.3, 0.5)).collect();
         let mut metrics = PipelineMetrics::new();
-        let plain = idx.quantify_adaptive_batch(&queries, 0.05, 0.01);
+        let plain: Vec<_> = queries
+            .iter()
+            .map(|&q| idx.quantify_adaptive(q, 0.05, 0.01))
+            .collect();
         let observed = idx.observed_batch(
             &queries,
             &BatchOptions::with_threads(2),
@@ -285,7 +282,13 @@ mod tests {
         let out = idx.observed_batch(&queries, &opts, &mut metrics, &NullClock, |q| {
             idx.try_nn_nonzero(q)
         });
-        assert_eq!(out, idx.nn_nonzero_batch_isolated(&queries));
+        assert_eq!(
+            out,
+            queries
+                .iter()
+                .map(|&q| idx.try_nn_nonzero(q))
+                .collect::<Vec<_>>()
+        );
         assert_eq!(metrics.queries, 20);
         let panicked = error_label_index("query_panicked").unwrap();
         let degenerate = error_label_index("degenerate_geometry").unwrap();
@@ -307,12 +310,10 @@ mod tests {
         });
         assert_eq!(
             out,
-            idx.quantify_adaptive_batch_isolated_with(
-                &queries,
-                0.05,
-                0.01,
-                &BatchOptions::default()
-            )
+            queries
+                .iter()
+                .map(|&q| isolate(q, || idx.quantify_adaptive(q, 0.05, 0.01)))
+                .collect::<Vec<_>>()
         );
         assert_eq!(metrics.error_counts[degenerate], 1);
         let errored = metrics.error_counts.iter().sum::<u64>();

@@ -5,9 +5,9 @@
 //! * [`UnnError`] — every way a build or query can fail, as data. The
 //!   `try_*` entry points ([`crate::PnnIndex::try_build`],
 //!   [`crate::PnnIndex::try_nn_nonzero`],
-//!   [`crate::PnnIndex::quantify_guarded`], the `*_isolated` batch
-//!   methods) guarantee that no panic escapes them — a caught panic is
-//!   converted to [`UnnError::QueryPanicked`].
+//!   [`crate::PnnIndex::quantify_guarded`], any query wrapped in
+//!   [`crate::batch::isolate`]) guarantee that no panic escapes them — a
+//!   caught panic is converted to [`UnnError::QueryPanicked`].
 //! * [`ValidationPolicy`] — what to do with invalid or degenerate inputs at
 //!   build time: reject ([`ValidationPolicy::Strict`]) or fix what is
 //!   fixable ([`ValidationPolicy::Repair`]).
@@ -61,7 +61,7 @@ pub enum UnnError {
         required: u64,
     },
     /// A query panicked; the panic was caught at the API boundary (the
-    /// `try_*` / `*_isolated` entry points) and converted.
+    /// `try_*` entry points and [`crate::batch::isolate`]) and converted.
     QueryPanicked {
         /// Best-effort panic payload message.
         message: String,

@@ -111,8 +111,7 @@ impl DiskNonzeroIndex {
     }
 
     /// [`DiskNonzeroIndex::query`] into a caller-provided buffer (cleared
-    /// first): batch loops reuse one buffer per worker to keep the Lemma 2.1
-    /// reporting stage allocation-free.
+    /// first), for a loop that reuses one buffer across queries.
     pub fn query_into(&self, q: Point, out: &mut Vec<usize>) {
         out.clear();
         let Some((best, d1, d2)) = self.min_two_max_dist(q) else {

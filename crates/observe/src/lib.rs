@@ -486,9 +486,9 @@ pub const HIST_BUCKETS: usize = 24;
 
 /// A fixed-bucket power-of-two histogram of `u64` samples.
 ///
-/// Bucket membership is a pure function of the sample, so histograms of
-/// deterministic per-query quantities merge order-independently — the
-/// property the batch determinism contract needs.
+/// Bucket membership is a pure function of the sample, so a histogram of
+/// deterministic per-query quantities does not depend on the order they
+/// are recorded in — the property the batch determinism contract needs.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Histogram {
     /// Bucket counts (see [`HIST_BUCKETS`] for the bucket layout).
@@ -525,15 +525,6 @@ impl Histogram {
         self.buckets[Self::bucket_of(value)] += 1;
         self.count += 1;
         self.sum += value as u128;
-    }
-
-    /// Merges another histogram in (bucket-wise sum).
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
     }
 
     /// Mean sample value (0 for an empty histogram).
@@ -891,28 +882,13 @@ mod tests {
         for b in 1..HIST_BUCKETS - 1 {
             assert_eq!(Histogram::bucket_of(Histogram::bucket_lo(b)), b);
         }
-    }
-
-    #[test]
-    fn histogram_merge_is_order_independent() {
         let samples = [0u64, 1, 5, 9, 100, 3, 77, 1024, 65535];
-        let mut whole = Histogram::default();
+        let mut h = Histogram::default();
         for &v in &samples {
-            whole.record(v);
+            h.record(v);
         }
-        let mut a = Histogram::default();
-        let mut b = Histogram::default();
-        for (i, &v) in samples.iter().enumerate() {
-            if i % 2 == 0 {
-                a.record(v)
-            } else {
-                b.record(v)
-            }
-        }
-        b.merge(&a);
-        assert_eq!(whole, b);
-        assert_eq!(whole.count, samples.len() as u64);
-        assert_eq!(whole.sum, samples.iter().map(|&v| v as u128).sum::<u128>());
+        assert_eq!(h.count, samples.len() as u64);
+        assert_eq!(h.sum, samples.iter().map(|&v| v as u128).sum::<u128>());
     }
 
     #[test]

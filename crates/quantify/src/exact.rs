@@ -21,47 +21,17 @@
 use unn_distr::{DiscreteDistribution, UncertainPoint};
 use unn_geom::Point;
 
-/// Reusable buffers for [`quantification_exact_into`].
-///
-/// The Eq. 2 sweep needs `O(N)` working memory (the distance-sorted location
-/// list and the running cdf factors); batch query loops reuse one scratch
-/// per worker so the hot path performs no allocation beyond the output.
-#[derive(Clone, Debug, Default)]
-pub struct ExactScratch {
-    locs: Vec<(f64, u32, f64)>,
-    rem: Vec<f64>,
-    left: Vec<usize>,
-}
-
 /// All quantification probabilities `π_i(q)`, exactly (up to f64 rounding).
 ///
 /// Returns one probability per object, in input order; they sum to 1.
 pub fn quantification_exact(objects: &[DiscreteDistribution], q: Point) -> Vec<f64> {
-    let mut pi = Vec::new();
-    quantification_exact_into(objects, q, &mut pi, &mut ExactScratch::default());
-    pi
-}
-
-/// [`quantification_exact`] writing into caller-provided buffers.
-///
-/// `pi` is cleared and resized to `objects.len()`; `scratch` holds the
-/// sweep's working memory across calls. Identical output to the allocating
-/// entry point.
-pub fn quantification_exact_into(
-    objects: &[DiscreteDistribution],
-    q: Point,
-    pi: &mut Vec<f64>,
-    scratch: &mut ExactScratch,
-) {
     let n = objects.len();
-    pi.clear();
-    pi.resize(n, 0.0);
+    let mut pi = vec![0.0; n];
     if n == 0 {
-        return;
+        return pi;
     }
     // (distance, object, weight), sorted by distance.
-    let locs = &mut scratch.locs;
-    locs.clear();
+    let mut locs: Vec<(f64, u32, f64)> = Vec::new();
     for (j, obj) in objects.iter().enumerate() {
         for (p, w) in obj.points().iter().zip(obj.weights()) {
             locs.push((p.dist(q), j as u32, *w));
@@ -71,13 +41,10 @@ pub fn quantification_exact_into(
     unn_observe::exact_touches(locs.len() as u64);
 
     // Running factors rem[j] = 1 - G_{q,j}(current distance).
-    let rem = &mut scratch.rem;
-    rem.clear();
-    rem.resize(n, 1.0);
-    let left = &mut scratch.left; // remaining (unconsumed) locations
-    left.clear();
-    left.resize(n, 0);
-    for &(_, j, _) in locs.iter() {
+    let mut rem = vec![1.0; n];
+    // Remaining (unconsumed) locations per object.
+    let mut left = vec![0usize; n];
+    for &(_, j, _) in &locs {
         left[j as usize] += 1;
     }
     // Product over j of rem[j], as (sum of logs of nonzero rem, zero count).
@@ -133,6 +100,7 @@ pub fn quantification_exact_into(
         }
         idx = end;
     }
+    pi
 }
 
 /// Reference implementation recomputing each product from scratch

@@ -25,14 +25,11 @@ pub mod threshold;
 pub mod vpr;
 
 pub use error::{panic_message, QuantifyError};
-pub use exact::{
-    quantification_exact, quantification_exact_into, quantification_exact_recompute, ExactScratch,
-};
+pub use exact::{quantification_exact, quantification_exact_recompute};
 pub use knn::knn_membership_exact;
 pub use montecarlo::{
     adaptive_half_width_bound, adaptive_over_winners, point_stream_seed,
-    quantification_monte_carlo, quantification_monte_carlo_into, AdaptiveQuantify, McBackend,
-    MonteCarloIndex, ADAPTIVE_MIN_ROUNDS,
+    quantification_monte_carlo, AdaptiveQuantify, McBackend, MonteCarloIndex, ADAPTIVE_MIN_ROUNDS,
 };
 pub use numeric::quantification_numeric;
 pub use spiral::SpiralIndex;

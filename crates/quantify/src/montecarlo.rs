@@ -765,24 +765,9 @@ pub fn quantification_monte_carlo(
     s: usize,
     rng: &mut dyn Rng,
 ) -> Vec<f64> {
-    let mut pi = Vec::new();
-    quantification_monte_carlo_into(points, q, s, rng, &mut pi);
-    pi
-}
-
-/// [`quantification_monte_carlo`] into a caller-provided buffer (cleared
-/// and resized to `points.len()`).
-pub fn quantification_monte_carlo_into(
-    points: &[Uncertain],
-    q: Point,
-    s: usize,
-    rng: &mut dyn Rng,
-    pi: &mut Vec<f64>,
-) {
-    pi.clear();
-    pi.resize(points.len(), 0.0);
+    let mut pi = vec![0.0; points.len()];
     if points.is_empty() || s == 0 {
-        return;
+        return pi;
     }
     let w = 1.0 / s as f64;
     for _ in 0..s {
@@ -795,6 +780,7 @@ pub fn quantification_monte_carlo_into(
         }
         pi[best.0] += w;
     }
+    pi
 }
 
 #[cfg(test)]
@@ -1077,11 +1063,6 @@ mod tests {
         let mut rng2 = SmallRng::seed_from_u64(152);
         let again = quantification_monte_carlo(&points, q, s, &mut rng2);
         assert_eq!(got, again);
-        // The _into variant reusing a dirty buffer agrees exactly.
-        let mut rng3 = SmallRng::seed_from_u64(152);
-        let mut buf = vec![99.0; 3];
-        quantification_monte_carlo_into(&points, q, s, &mut rng3, &mut buf);
-        assert_eq!(got, buf);
     }
 
     #[test]

@@ -79,7 +79,7 @@ fn nn_nonzero_batch_bit_identical_across_thread_counts() {
         let qs = queries(256, 502);
         let seq: Vec<Vec<usize>> = qs.iter().map(|&q| idx.nn_nonzero(q)).collect();
         for t in THREAD_COUNTS {
-            let batch = idx.nn_nonzero_batch_with(&qs, &BatchOptions::with_threads(t));
+            let batch = BatchOptions::with_threads(t).map(&qs, |q| idx.nn_nonzero(q));
             assert_eq!(batch, seq, "threads = {t}");
         }
     }
@@ -90,14 +90,9 @@ fn quantify_batch_bit_identical_across_thread_counts() {
     for points in [discrete_points(15, 3, 503), mixed_points(15, 504)] {
         let idx = PnnIndex::new(points);
         let qs = queries(96, 505);
-        let (seq, seq_m): (Vec<Vec<f64>>, _) = {
-            let per: Vec<_> = qs.iter().map(|&q| idx.quantify(q)).collect();
-            let m = per[0].1;
-            (per.into_iter().map(|(pi, _)| pi).collect(), m)
-        };
+        let seq: Vec<_> = qs.iter().map(|&q| idx.quantify(q)).collect();
         for t in THREAD_COUNTS {
-            let (batch, m) = idx.quantify_batch_with(&qs, &BatchOptions::with_threads(t));
-            assert_eq!(m, seq_m);
+            let batch = BatchOptions::with_threads(t).map(&qs, |q| idx.quantify(q));
             assert_eq!(batch, seq, "threads = {t}");
         }
     }
@@ -109,7 +104,7 @@ fn quantify_exact_batch_bit_identical_across_thread_counts() {
     let qs = queries(128, 507);
     let seq: Vec<Vec<f64>> = qs.iter().map(|&q| idx.quantify_exact(q).0).collect();
     for t in THREAD_COUNTS {
-        let (batch, _) = idx.quantify_exact_batch_with(&qs, &BatchOptions::with_threads(t));
+        let batch = BatchOptions::with_threads(t).map(&qs, |q| idx.quantify_exact(q).0);
         assert_eq!(batch, seq, "threads = {t}");
     }
 }
@@ -120,7 +115,7 @@ fn expected_nn_batch_bit_identical_across_thread_counts() {
     let qs = queries(256, 509);
     let seq: Vec<_> = qs.iter().map(|&q| idx.expected_nn(q)).collect();
     for t in THREAD_COUNTS {
-        let batch = idx.expected_nn_batch_with(&qs, &BatchOptions::with_threads(t));
+        let batch = BatchOptions::with_threads(t).map(&qs, |q| idx.expected_nn(q));
         assert_eq!(batch, seq, "threads = {t}");
     }
 }
@@ -139,7 +134,7 @@ fn quantify_fresh_batch_bit_identical_across_thread_counts() {
         })
         .collect();
     for t in THREAD_COUNTS {
-        let batch = idx.quantify_fresh_batch_with(&qs, 300, &BatchOptions::with_threads(t));
+        let batch = idx.quantify_fresh_batch(&qs, 300, &BatchOptions::with_threads(t));
         assert_eq!(batch, seq, "threads = {t}");
     }
 }
@@ -155,7 +150,7 @@ fn quantify_adaptive_batch_bit_identical_across_thread_counts() {
             .collect();
         for t in THREAD_COUNTS {
             let batch =
-                idx.quantify_adaptive_batch_with(&qs, 0.05, 0.01, &BatchOptions::with_threads(t));
+                BatchOptions::with_threads(t).map(&qs, |q| idx.quantify_adaptive(q, 0.05, 0.01));
             assert_eq!(batch, seq, "threads = {t}");
         }
     }
@@ -166,9 +161,9 @@ fn quantify_adaptive_batch_shuffled_order_gives_permuted_results() {
     let idx = PnnIndex::new(mixed_points(15, 523));
     let qs = queries(120, 524);
     let (shuffled, perm) = shuffle(&qs, 525);
-    let base = idx.quantify_adaptive_batch_with(&qs, 0.05, 0.01, &BatchOptions::with_threads(4));
-    let shuf =
-        idx.quantify_adaptive_batch_with(&shuffled, 0.05, 0.01, &BatchOptions::with_threads(4));
+    let opts = BatchOptions::with_threads(4);
+    let base = opts.map(&qs, |q| idx.quantify_adaptive(q, 0.05, 0.01));
+    let shuf = opts.map(&shuffled, |q| idx.quantify_adaptive(q, 0.05, 0.01));
     for (pos, &orig) in perm.iter().enumerate() {
         assert_eq!(shuf[pos], base[orig]);
     }
@@ -182,13 +177,14 @@ fn shuffled_query_order_gives_permuted_results() {
     let idx = PnnIndex::new(discrete_points(15, 3, 512));
     let qs = queries(200, 513);
     let (shuffled, perm) = shuffle(&qs, 514);
-    let base = idx.nn_nonzero_batch_with(&qs, &BatchOptions::with_threads(4));
-    let shuf = idx.nn_nonzero_batch_with(&shuffled, &BatchOptions::with_threads(4));
+    let opts = BatchOptions::with_threads(4);
+    let base = opts.map(&qs, |q| idx.nn_nonzero(q));
+    let shuf = opts.map(&shuffled, |q| idx.nn_nonzero(q));
     for (pos, &orig) in perm.iter().enumerate() {
         assert_eq!(shuf[pos], base[orig]);
     }
-    let (base_q, _) = idx.quantify_exact_batch_with(&qs, &BatchOptions::with_threads(4));
-    let (shuf_q, _) = idx.quantify_exact_batch_with(&shuffled, &BatchOptions::with_threads(4));
+    let base_q = opts.map(&qs, |q| idx.quantify_exact(q).0);
+    let shuf_q = opts.map(&shuffled, |q| idx.quantify_exact(q).0);
     for (pos, &orig) in perm.iter().enumerate() {
         assert_eq!(shuf_q[pos], base_q[orig]);
     }
@@ -202,9 +198,9 @@ fn ten_thousand_query_batch_matches_sequential() {
     let qs = queries(10_000, 516);
     let opts = BatchOptions::with_threads(4);
     let seq_nz: Vec<Vec<usize>> = qs.iter().map(|&q| idx.nn_nonzero(q)).collect();
-    assert_eq!(idx.nn_nonzero_batch_with(&qs, &opts), seq_nz);
+    assert_eq!(opts.map(&qs, |q| idx.nn_nonzero(q)), seq_nz);
     let seq_e: Vec<_> = qs.iter().map(|&q| idx.expected_nn(q)).collect();
-    assert_eq!(idx.expected_nn_batch_with(&qs, &opts), seq_e);
+    assert_eq!(opts.map(&qs, |q| idx.expected_nn(q)), seq_e);
 }
 
 #[test]
@@ -234,7 +230,7 @@ fn ten_thousand_query_batch_isolates_one_poison_query() {
         .collect();
 
     for t in THREAD_COUNTS {
-        let batch = idx.nn_nonzero_batch_isolated_with(&qs, &BatchOptions::with_threads(t));
+        let batch = BatchOptions::with_threads(t).map(&qs, |q| idx.try_nn_nonzero(q));
         assert_eq!(batch.len(), qs.len());
         for (i, slot) in batch.iter().enumerate() {
             if i == poison_slot {
@@ -363,17 +359,17 @@ fn dynamic_batch_bit_identical_across_thread_counts() {
     for t in THREAD_COUNTS {
         let opts = BatchOptions::with_threads(t);
         assert_eq!(
-            snap.nn_nonzero_batch_with(&qs, &opts),
+            opts.map(&qs, |q| snap.nn_nonzero(q)),
             seq_nz,
             "threads = {t}"
         );
         assert_eq!(
-            snap.quantify_batch_with(&qs, &opts),
+            opts.map(&qs, |q| snap.quantify(q).0),
             seq_pi,
             "threads = {t}"
         );
         assert_eq!(
-            snap.quantify_adaptive_batch_with(&qs, 0.05, 0.01, &opts),
+            opts.map(&qs, |q| snap.quantify_adaptive(q, 0.05, 0.01)),
             seq_ad,
             "threads = {t}"
         );
@@ -429,21 +425,21 @@ fn dynamic_batch_invariant_to_block_layout() {
     let qs = queries(64, 553);
     for t in THREAD_COUNTS {
         let opts = BatchOptions::with_threads(t);
-        let nz = s0.nn_nonzero_batch_with(&qs, &opts);
-        assert_eq!(nz, s1.nn_nonzero_batch_with(&qs, &opts), "threads = {t}");
-        assert_eq!(nz, s2.nn_nonzero_batch_with(&qs, &opts), "threads = {t}");
-        let pi = s0.quantify_batch_with(&qs, &opts);
-        assert_eq!(pi, s1.quantify_batch_with(&qs, &opts), "threads = {t}");
-        assert_eq!(pi, s2.quantify_batch_with(&qs, &opts), "threads = {t}");
-        let ad = s0.quantify_adaptive_batch_with(&qs, 0.05, 0.01, &opts);
+        let nz = opts.map(&qs, |q| s0.nn_nonzero(q));
+        assert_eq!(nz, opts.map(&qs, |q| s1.nn_nonzero(q)), "threads = {t}");
+        assert_eq!(nz, opts.map(&qs, |q| s2.nn_nonzero(q)), "threads = {t}");
+        let pi = opts.map(&qs, |q| s0.quantify(q).0);
+        assert_eq!(pi, opts.map(&qs, |q| s1.quantify(q).0), "threads = {t}");
+        assert_eq!(pi, opts.map(&qs, |q| s2.quantify(q).0), "threads = {t}");
+        let ad = opts.map(&qs, |q| s0.quantify_adaptive(q, 0.05, 0.01));
         assert_eq!(
             ad,
-            s1.quantify_adaptive_batch_with(&qs, 0.05, 0.01, &opts),
+            opts.map(&qs, |q| s1.quantify_adaptive(q, 0.05, 0.01)),
             "threads = {t}"
         );
         assert_eq!(
             ad,
-            s2.quantify_adaptive_batch_with(&qs, 0.05, 0.01, &opts),
+            opts.map(&qs, |q| s2.quantify_adaptive(q, 0.05, 0.01)),
             "threads = {t}"
         );
     }
@@ -453,12 +449,13 @@ fn dynamic_batch_invariant_to_block_layout() {
 fn ambient_pool_default_matches_pinned() {
     let idx = PnnIndex::new(discrete_points(10, 3, 517));
     let qs = queries(128, 518);
+    let (ambient, pinned) = (BatchOptions::default(), BatchOptions::with_threads(2));
     assert_eq!(
-        idx.nn_nonzero_batch(&qs),
-        idx.nn_nonzero_batch_with(&qs, &BatchOptions::with_threads(2))
+        ambient.map(&qs, |q| idx.nn_nonzero(q)),
+        pinned.map(&qs, |q| idx.nn_nonzero(q))
     );
     assert_eq!(
-        idx.quantify_fresh_batch(&qs, 100),
-        idx.quantify_fresh_batch_with(&qs, 100, &BatchOptions::with_threads(2))
+        idx.quantify_fresh_batch(&qs, 100, &ambient),
+        idx.quantify_fresh_batch(&qs, 100, &pinned)
     );
 }

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use unn::batch::query_stream_seed;
+use unn::batch::{query_stream_seed, BatchOptions};
 use unn::distr::DiscreteDistribution;
 use unn::geom::Point;
 use unn::quantify::MonteCarloIndex;
@@ -140,8 +140,9 @@ proptest! {
         let qs: Vec<Point> = (0..16)
             .map(|_| Point::new(rng.random_range(-30.0..30.0), rng.random_range(-30.0..30.0)))
             .collect();
-        let (approx, _) = idx.quantify_batch(&qs);
-        let (exact, _) = idx.quantify_exact_batch(&qs);
+        let opts = BatchOptions::default();
+        let approx = opts.map(&qs, |q| idx.quantify(q).0);
+        let exact = opts.map(&qs, |q| idx.quantify_exact(q).0);
         let eps = idx.config().epsilon;
         for (pi, ex) in approx.iter().zip(&exact) {
             for (a, e) in pi.iter().zip(ex) {

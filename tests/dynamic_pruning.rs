@@ -269,12 +269,12 @@ fn pruned_batches_deterministic_across_thread_counts() {
         for t in [1usize, 2, 8] {
             let opts = BatchOptions::with_threads(t);
             assert_eq!(
-                snap.nn_nonzero_batch_with(&qs, &opts),
+                opts.map(&qs, |q| snap.nn_nonzero(q)),
                 seq_nn,
                 "{policy:?}: nn_nonzero batch diverged at {t} threads"
             );
             assert_eq!(
-                snap.quantify_batch_with(&qs, &opts),
+                opts.map(&qs, |q| snap.quantify(q).0),
                 seq_pi,
                 "{policy:?}: quantify batch diverged at {t} threads"
             );

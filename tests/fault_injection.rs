@@ -2,11 +2,13 @@
 //! driven through every public entry point of the resilient pipeline.
 //!
 //! The contract under test: **zero panics escape the `try_*` / `*_guarded`
-//! / `*_isolated` API** — every poisoned or degenerate input yields a typed
-//! [`UnnError`] or a valid (possibly [`QuantifyOutcome::Degraded`]) answer.
+//! API or a query wrapped in `batch::isolate`** — every poisoned or
+//! degenerate input yields a typed [`UnnError`] or a valid (possibly
+//! [`QuantifyOutcome::Degraded`]) answer.
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
+use unn::batch::isolate;
 use unn::distr::discrete::DiscreteError;
 use unn::geom::{Aabb, Disk, Point};
 use unn::nonzero::{DiscreteNonzeroIndex, DiskNonzeroIndex, NonzeroError};
@@ -136,7 +138,8 @@ fn isolated_batches_contain_the_poison_slot() {
     queries[17] = poison;
     queries[40] = Point::new(f64::NAN, 1.0);
 
-    let out = idx.nn_nonzero_batch_isolated_with(&queries, &BatchOptions::with_threads(4));
+    let opts = BatchOptions::with_threads(4);
+    let out = opts.map(&queries, |q| idx.try_nn_nonzero(q));
     assert_eq!(out.len(), queries.len());
     for (i, slot) in out.iter().enumerate() {
         match i {
@@ -150,19 +153,16 @@ fn isolated_batches_contain_the_poison_slot() {
     // Monte-Carlo structure (concrete instantiations — no chaos on the
     // query path), so the poison slot is fine there but the NaN slot must
     // still error and everything else must match sequential.
-    let qout = idx.quantify_batch_isolated_with(&queries, &BatchOptions::with_threads(4));
+    let qout = opts.map(&queries, |q| isolate(q, || idx.quantify(q)));
     for (i, slot) in qout.iter().enumerate() {
         match i {
             40 => assert!(matches!(slot, Err(UnnError::DegenerateGeometry { .. }))),
             _ => assert_eq!(slot.as_ref().unwrap(), &idx.quantify(queries[i])),
         }
     }
-    let aout = idx.quantify_adaptive_batch_isolated_with(
-        &queries,
-        0.1,
-        0.01,
-        &BatchOptions::with_threads(4),
-    );
+    let aout = opts.map(&queries, |q| {
+        isolate(q, || idx.quantify_adaptive(q, 0.1, 0.01))
+    });
     for (i, slot) in aout.iter().enumerate() {
         match i {
             40 => assert!(matches!(slot, Err(UnnError::DegenerateGeometry { .. }))),
@@ -264,7 +264,7 @@ fn adversarial_corpus_never_escapes_the_api() {
             }
             let finite_queries: Vec<Point> =
                 queries.iter().copied().filter(|q| q.is_finite()).collect();
-            for slot in idx.nn_nonzero_batch_isolated(&finite_queries) {
+            for slot in BatchOptions::default().map(&finite_queries, |q| idx.try_nn_nonzero(q)) {
                 assert!(slot.is_ok(), "{name}: isolated batch slot failed: {slot:?}");
             }
         }
@@ -506,10 +506,10 @@ fn budget_degrades_to_capped_adaptive_with_honest_epsilon() {
     let qs: Vec<Point> = (0..40)
         .map(|_| Point::new(rng.random_range(-25.0..25.0), rng.random_range(-25.0..25.0)))
         .collect();
-    let reference = idx.quantify_guarded_batch_with(&qs, budget, &BatchOptions::with_threads(1));
+    let guarded = |opts: BatchOptions| opts.map(&qs, |q| idx.quantify_guarded(q, budget));
+    let reference = guarded(BatchOptions::with_threads(1));
     for threads in [2, 8] {
-        let got =
-            idx.quantify_guarded_batch_with(&qs, budget, &BatchOptions::with_threads(threads));
+        let got = guarded(BatchOptions::with_threads(threads));
         assert_eq!(got, reference, "threads = {threads}");
     }
 }
