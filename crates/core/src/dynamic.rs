@@ -38,15 +38,12 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 
-use unn_distr::{DiscreteDistribution, Uncertain};
+use unn_distr::Uncertain;
 use unn_dynamic::{DynamicEngine, DynamicError, EngineConfig, EngineSnapshot};
 use unn_geom::Point;
-use unn_quantify::{
-    adaptive_over_winners, quantification_exact, quantification_numeric, AdaptiveQuantify,
-    MonteCarloIndex,
-};
+use unn_quantify::{adaptive_over_winners, AdaptiveQuantify, ExactTier, MonteCarloIndex};
 
-use crate::index::{PnnConfig, QuantifyMethod};
+use crate::index::{exact_answer, PnnConfig, QuantifyMethod};
 use crate::resilience::{QuantifyOutcome, QueryBudget, UnnError, ValidationPolicy};
 
 pub use unn_dynamic::{CompactionPolicy, DynamicStats, PointId};
@@ -292,7 +289,7 @@ impl DynamicPnnIndex {
         DynamicSnapshot {
             inner: Arc::new(SnapInner {
                 core: self.engine.snapshot(),
-                merged: OnceLock::new(),
+                tier: OnceLock::new(),
             }),
             epsilon: self.config.base.epsilon,
             delta: self.config.base.delta,
@@ -300,42 +297,12 @@ impl DynamicPnnIndex {
             adaptive_min_rounds: self.config.base.adaptive_min_rounds,
         }
     }
-
-    /// One-shot [`DynamicSnapshot::nn_nonzero`] on a fresh snapshot.
-    pub fn nn_nonzero(&self, q: Point) -> Vec<PointId> {
-        self.snapshot().nn_nonzero(q)
-    }
-
-    /// One-shot [`DynamicSnapshot::quantify`] on a fresh snapshot.
-    pub fn quantify(&self, q: Point) -> (Vec<f64>, QuantifyMethod) {
-        self.snapshot().quantify(q)
-    }
-
-    /// One-shot [`DynamicSnapshot::quantify_exact`] on a fresh snapshot.
-    pub fn quantify_exact(&self, q: Point) -> (Vec<f64>, QuantifyMethod) {
-        self.snapshot().quantify_exact(q)
-    }
-
-    /// One-shot [`DynamicSnapshot::quantify_within`] on a fresh snapshot.
-    pub fn quantify_within(
-        &self,
-        q: Point,
-        budget: QueryBudget,
-    ) -> Result<QuantifyOutcome, UnnError> {
-        self.snapshot().quantify_within(q, budget)
-    }
-}
-
-/// The lazily-materialized merged live view (exact quantification needs the
-/// points densely, in live-id order).
-struct MergedView {
-    points: Vec<Uncertain>,
-    discrete: Option<Vec<DiscreteDistribution>>,
 }
 
 struct SnapInner {
     core: EngineSnapshot,
-    merged: OnceLock<MergedView>,
+    /// The live points in live-id order, materialized on first exact use.
+    tier: OnceLock<ExactTier>,
 }
 
 /// Frozen view of a [`DynamicPnnIndex`] at one epoch.
@@ -404,17 +371,10 @@ impl DynamicSnapshot {
         )
     }
 
-    fn merged(&self) -> &MergedView {
-        self.inner.merged.get_or_init(|| {
-            let points: Vec<Uncertain> = self
-                .inner
-                .core
-                .live_points()
-                .into_iter()
-                .map(|(_, p)| p)
-                .collect();
-            let discrete = points.iter().map(|p| p.as_discrete().cloned()).collect();
-            MergedView { points, discrete }
+    fn tier(&self) -> &ExactTier {
+        self.inner.tier.get_or_init(|| {
+            let points = self.inner.core.live_points().into_iter().map(|(_, p)| p);
+            ExactTier::new(points.collect(), self.numeric_steps)
         })
     }
 
@@ -443,20 +403,10 @@ impl DynamicSnapshot {
     }
 
     /// Exact (all-discrete live set, Eq. 2 sweep) or high-resolution
-    /// numeric (otherwise) quantification over a materialized merged view.
+    /// numeric (otherwise) quantification over the live set, by the
+    /// [`ExactTier`] this view materializes once, on first use.
     pub fn quantify_exact(&self, q: Point) -> (Vec<f64>, QuantifyMethod) {
-        if self.is_empty() {
-            return (Vec::new(), QuantifyMethod::ExactSweep);
-        }
-        let merged = self.merged();
-        if let Some(objs) = &merged.discrete {
-            (quantification_exact(objs, q), QuantifyMethod::ExactSweep)
-        } else {
-            (
-                quantification_numeric(&merged.points, q, self.numeric_steps),
-                QuantifyMethod::NumericIntegration,
-            )
-        }
+        exact_answer(self.tier(), q)
     }
 
     /// Adaptive early-stopping Monte-Carlo quantification: per-round
@@ -476,65 +426,34 @@ impl DynamicSnapshot {
     }
 
     /// The work an exact answer costs at this view, in [`QueryBudget`]
-    /// units (location touches) — same accounting as
-    /// [`crate::PnnIndex::exact_work`].
+    /// units: [`ExactTier::work`] of the live set, the same price
+    /// [`crate::PnnIndex::exact_work`] puts on the same points.
     pub fn exact_work(&self) -> u64 {
-        let merged = self.merged();
-        if let Some(objs) = &merged.discrete {
-            objs.iter().map(|o| o.len() as u64).sum()
-        } else {
-            self.numeric_steps as u64 * merged.points.len() as u64
-        }
+        self.tier().work()
     }
 
-    /// Budgeted quantification with graceful degradation, mirroring
-    /// [`crate::PnnIndex::quantify_within`]: exact if it fits, else capped
-    /// adaptive Monte-Carlo as [`QuantifyOutcome::Degraded`] carrying the
-    /// honest certified accuracy, else [`UnnError::BudgetExhausted`] when
-    /// not even one round fits.
+    /// Budgeted quantification with graceful degradation, on the same
+    /// ladder as [`crate::PnnIndex::quantify_within`]: exact if
+    /// [`DynamicSnapshot::exact_work`] fits, else capped adaptive
+    /// Monte-Carlo over the per-block rounds as
+    /// [`QuantifyOutcome::Degraded`] carrying the honest certified
+    /// accuracy, else [`UnnError::BudgetExhausted`] when not even one round
+    /// fits.
     pub fn quantify_within(
         &self,
         q: Point,
         budget: QueryBudget,
     ) -> Result<QuantifyOutcome, UnnError> {
-        let cap = budget.effective();
-        if self.is_empty() {
-            return Ok(QuantifyOutcome::Exact {
-                pi: Vec::new(),
-                method: QuantifyMethod::ExactSweep,
-                work: 0,
-            });
-        }
-        let exact_work = self.exact_work();
-        if exact_work <= cap {
-            let (pi, method) = self.quantify_exact(q);
-            return Ok(QuantifyOutcome::Exact {
-                pi,
-                method,
-                work: exact_work,
-            });
-        }
-        if cap == 0 {
-            return Err(UnnError::BudgetExhausted {
-                budget: cap,
-                required: 1,
-            });
-        }
-        let max_rounds = usize::try_from(cap).unwrap_or(usize::MAX);
-        let winners = self.inner.core.winner_ranks(q);
-        let a = adaptive_over_winners(
-            &winners,
-            self.len(),
-            self.epsilon,
-            self.delta,
-            self.adaptive_min_rounds,
-            max_rounds,
-        );
-        Ok(QuantifyOutcome::Degraded {
-            work: a.rounds_used as u64,
-            achieved_epsilon: a.half_width,
-            rounds_used: a.rounds_used,
-            pi: a.pi,
+        budget.ladder(self.tier(), q, |max_rounds| {
+            let winners = self.inner.core.winner_ranks(q);
+            adaptive_over_winners(
+                &winners,
+                self.len(),
+                self.epsilon,
+                self.delta,
+                self.adaptive_min_rounds,
+                max_rounds,
+            )
         })
     }
 }
@@ -598,6 +517,7 @@ mod tests {
                 .unwrap_or_else(|e| panic!("repair: {e}"));
             assert_eq!(a, b, "both policies must assign the same ids");
         }
+        let (strict, repair) = (strict.snapshot(), repair.snapshot());
         let q = Point::new(0.5, 0.5);
         assert_eq!(strict.nn_nonzero(q), repair.nn_nonzero(q));
         assert_eq!(strict.quantify(q).0, repair.quantify(q).0);

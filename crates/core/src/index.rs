@@ -14,12 +14,12 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use unn_distr::{DiscreteDistribution, Uncertain, UncertainPoint};
+use unn_distr::{Uncertain, UncertainPoint};
 use unn_geom::{Disk, Point};
 use unn_nonzero::{DiscreteNonzeroIndex, DiskNonzeroIndex, GuaranteedNnIndex};
 use unn_quantify::{
-    knn_membership_exact, quantification_exact, quantification_monte_carlo, quantification_numeric,
-    AdaptiveQuantify, McBackend, MonteCarloIndex, SpiralIndex, ADAPTIVE_MIN_ROUNDS,
+    knn_membership_exact, quantification_monte_carlo, AdaptiveQuantify, ExactTier, McBackend,
+    MonteCarloIndex, SpiralIndex, ADAPTIVE_MIN_ROUNDS,
 };
 
 use crate::expected::ExpectedNnIndex;
@@ -110,6 +110,16 @@ pub enum QuantifyMethod {
     NumericIntegration,
 }
 
+/// `tier`'s answer at `q`, tagged with the sweep that produced it.
+pub(crate) fn exact_answer(tier: &ExactTier, q: Point) -> (Vec<f64>, QuantifyMethod) {
+    let method = if tier.discrete().is_some() {
+        QuantifyMethod::ExactSweep
+    } else {
+        QuantifyMethod::NumericIntegration
+    };
+    (tier.quantify(q), method)
+}
+
 enum NonzeroBackend {
     // Both index variants are boxed: the kd structures inside dominate the
     // enum footprint and the backend lives once per `PnnIndex`.
@@ -126,11 +136,10 @@ enum NonzeroBackend {
 /// asserted in [`crate::batch`]), so one index can be shared across threads
 /// by reference; [`crate::batch::BatchOptions::map`] does exactly that.
 pub struct PnnIndex {
-    points: Vec<Uncertain>,
+    /// The points, their all-discrete view and the exact sweep over them.
+    tier: ExactTier,
     config: PnnConfig,
     nonzero: NonzeroBackend,
-    /// All-discrete fast path.
-    discrete: Option<Vec<DiscreteDistribution>>,
     spiral: Option<SpiralIndex>,
     mc: MonteCarloIndex,
     /// Eq. 6 inverted at the built round count (see
@@ -144,22 +153,21 @@ impl PnnIndex {
     /// Builds the index. Deterministic given `config.seed`.
     pub fn build(points: Vec<Uncertain>, config: PnnConfig) -> Self {
         let mut rng = SmallRng::seed_from_u64(config.seed);
+        let tier = ExactTier::new(points, config.numeric_steps);
+        let points = tier.points();
+        let discrete = tier.discrete();
         // Specialize the nonzero backend.
         let disks: Option<Vec<Disk>> = points.iter().map(|p| p.as_disk()).collect();
-        let discrete: Option<Vec<DiscreteDistribution>> =
-            points.iter().map(|p| p.as_discrete().cloned()).collect();
         let nonzero = if let Some(ds) = &disks {
             NonzeroBackend::Disks(Box::new(DiskNonzeroIndex::new(ds)))
-        } else if let Some(objs) = &discrete {
+        } else if let Some(objs) = discrete {
             NonzeroBackend::Discrete(Box::new(DiscreteNonzeroIndex::from_distributions(objs)))
         } else {
             NonzeroBackend::Generic
         };
-        let spiral = discrete.as_ref().map(|objs| SpiralIndex::build(objs));
+        let spiral = discrete.map(SpiralIndex::build);
         let n = points.len();
-        let k = discrete
-            .as_ref()
-            .map_or(1, |objs| objs.iter().map(|o| o.len()).max().unwrap_or(1));
+        let k = discrete.map_or(1, |objs| objs.iter().map(|o| o.len()).max().unwrap_or(1));
         let s = MonteCarloIndex::samples_for(config.epsilon, config.delta, n.max(1), k)
             .min(config.max_mc_rounds)
             .max(1);
@@ -167,14 +175,13 @@ impl PnnIndex {
         // capped the theorem-driven count this is larger than the request,
         // and results must say so rather than pretend `config.epsilon`.
         let mc_achieved_epsilon = MonteCarloIndex::epsilon_for(s, config.delta, n.max(1), k);
-        let mc = MonteCarloIndex::build(&points, s, McBackend::KdTree, &mut rng);
-        let expected = ExpectedNnIndex::build(&points);
+        let mc = MonteCarloIndex::build(points, s, McBackend::KdTree, &mut rng);
+        let expected = ExpectedNnIndex::build(points);
         let guaranteed = disks.as_ref().map(|ds| GuaranteedNnIndex::new(ds));
         PnnIndex {
-            points,
+            tier,
             config,
             nonzero,
-            discrete,
             spiral,
             mc,
             mc_achieved_epsilon,
@@ -289,15 +296,10 @@ impl PnnIndex {
     }
 
     /// The work an exact quantification answer costs at this index, in the
-    /// deterministic units of [`QueryBudget`] (location touches): the
-    /// discrete Eq. 2 sweep costs its total location count, numeric
-    /// integration costs `numeric_steps · n`.
+    /// deterministic units of [`QueryBudget`]: the price
+    /// [`ExactTier::work`] puts on [`PnnIndex::quantify_exact`].
     pub fn exact_work(&self) -> u64 {
-        if let Some(objs) = &self.discrete {
-            objs.iter().map(|o| o.len() as u64).sum()
-        } else {
-            self.config.numeric_steps as u64 * self.points.len() as u64
-        }
+        self.tier.work()
     }
 
     /// Budgeted quantification with graceful degradation.
@@ -319,42 +321,14 @@ impl PnnIndex {
         q: Point,
         budget: QueryBudget,
     ) -> Result<QuantifyOutcome, UnnError> {
-        let cap = budget.effective();
-        if self.points.is_empty() {
-            return Ok(QuantifyOutcome::Exact {
-                pi: Vec::new(),
-                method: QuantifyMethod::ExactSweep,
-                work: 0,
-            });
-        }
-        let exact_work = self.exact_work();
-        if exact_work <= cap {
-            let (pi, method) = self.quantify_exact(q);
-            return Ok(QuantifyOutcome::Exact {
-                pi,
-                method,
-                work: exact_work,
-            });
-        }
-        if cap == 0 {
-            return Err(UnnError::BudgetExhausted {
-                budget: cap,
-                required: 1,
-            });
-        }
-        let max_rounds = usize::try_from(cap).unwrap_or(usize::MAX);
-        let a = self.mc.quantify_adaptive_capped(
-            q,
-            self.config.epsilon,
-            self.config.delta,
-            self.config.adaptive_min_rounds,
-            max_rounds,
-        );
-        Ok(QuantifyOutcome::Degraded {
-            work: a.rounds_used as u64,
-            achieved_epsilon: a.half_width,
-            rounds_used: a.rounds_used,
-            pi: a.pi,
+        budget.ladder(&self.tier, q, |max_rounds| {
+            self.mc.quantify_adaptive_capped(
+                q,
+                self.config.epsilon,
+                self.config.delta,
+                self.config.adaptive_min_rounds,
+                max_rounds,
+            )
         })
     }
 
@@ -372,17 +346,17 @@ impl PnnIndex {
 
     /// Number of uncertain points.
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.points().len()
     }
 
     /// `true` when the index holds no points.
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.points().is_empty()
     }
 
     /// The uncertain points.
     pub fn points(&self) -> &[Uncertain] {
-        &self.points
+        self.tier.points()
     }
 
     /// `NN≠0(q)`: every point with `π_i(q) > 0`, by Lemma 2.1.
@@ -397,10 +371,11 @@ impl PnnIndex {
     /// Generic Lemma 2.1 scan: `i` is reported when `δ_i(q)` is below
     /// every other point's `Δ_j(q)`.
     fn nn_nonzero_generic(&self, q: Point) -> Vec<usize> {
-        let caps: Vec<f64> = self.points.iter().map(|p| p.max_dist(q)).collect();
-        (0..self.points.len())
+        let points = self.points();
+        let caps: Vec<f64> = points.iter().map(|p| p.max_dist(q)).collect();
+        (0..points.len())
             .filter(|&i| {
-                let delta_i = self.points[i].min_dist(q);
+                let delta_i = points[i].min_dist(q);
                 caps.iter()
                     .enumerate()
                     .all(|(j, &cap)| j == i || delta_i < cap)
@@ -460,14 +435,7 @@ impl PnnIndex {
     /// Exact (discrete) or high-resolution numeric (continuous)
     /// quantification probabilities.
     pub fn quantify_exact(&self, q: Point) -> (Vec<f64>, QuantifyMethod) {
-        if let Some(objs) = &self.discrete {
-            (quantification_exact(objs, q), QuantifyMethod::ExactSweep)
-        } else {
-            (
-                quantification_numeric(&self.points, q, self.config.numeric_steps),
-                QuantifyMethod::NumericIntegration,
-            )
-        }
+        exact_answer(&self.tier, q)
     }
 
     /// Monte-Carlo quantification with *fresh* instantiations drawn from
@@ -480,7 +448,7 @@ impl PnnIndex {
     /// independent estimates. [`PnnIndex::quantify_fresh_batch`] builds on
     /// this with one deterministic stream per query.
     pub fn quantify_fresh(&self, q: Point, rounds: usize, rng: &mut dyn Rng) -> Vec<f64> {
-        quantification_monte_carlo(&self.points, q, rounds, rng)
+        quantification_monte_carlo(self.points(), q, rounds, rng)
     }
 
     /// The most probable nearest neighbor: `argmax_i π̂_i(q)` with its
@@ -500,13 +468,11 @@ impl PnnIndex {
         }
         // Generic path: Δ-minimizer must beat every other δ.
         use unn_distr::UncertainPoint as _;
-        let best = (0..self.points.len()).min_by(|&a, &b| {
-            self.points[a]
-                .max_dist(q)
-                .total_cmp(&self.points[b].max_dist(q))
-        })?;
-        let cap = self.points[best].max_dist(q);
-        self.points
+        let points = self.points();
+        let best = (0..points.len())
+            .min_by(|&a, &b| points[a].max_dist(q).total_cmp(&points[b].max_dist(q)))?;
+        let cap = points[best].max_dist(q);
+        points
             .iter()
             .enumerate()
             .all(|(j, p)| j == best || p.min_dist(q) > cap)
@@ -517,7 +483,7 @@ impl PnnIndex {
     /// `q` (the kNN extension of §1.2): exact Poisson-binomial evaluation
     /// for discrete sets, Monte-Carlo estimate otherwise.
     pub fn knn_membership(&self, q: Point, k: usize) -> (Vec<f64>, QuantifyMethod) {
-        if let Some(objs) = &self.discrete {
+        if let Some(objs) = self.tier.discrete() {
             (knn_membership_exact(objs, q, k), QuantifyMethod::ExactSweep)
         } else {
             (
@@ -549,7 +515,7 @@ impl PnnIndex {
 mod tests {
     use super::*;
     use rand::RngExt;
-    use unn_distr::TruncatedGaussian;
+    use unn_distr::{DiscreteDistribution, TruncatedGaussian};
 
     fn mixed_points(seed: u64) -> Vec<Uncertain> {
         let mut rng = SmallRng::seed_from_u64(seed);

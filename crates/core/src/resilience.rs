@@ -23,11 +23,12 @@
 
 use unn_distr::discrete::DiscreteError;
 use unn_distr::DistrError;
+use unn_geom::Point;
 use unn_nonzero::NonzeroError;
-use unn_quantify::QuantifyError;
+use unn_quantify::{AdaptiveQuantify, ExactTier, QuantifyError};
 use unn_voronoi::VoronoiError;
 
-use crate::index::QuantifyMethod;
+use crate::index::{exact_answer, QuantifyMethod};
 
 /// Every way an `unn` build or query can fail.
 #[derive(Clone, Debug, PartialEq)]
@@ -173,15 +174,14 @@ pub enum ValidationPolicy {
 
 /// A deterministic per-query work budget.
 ///
-/// Work units are counted in *location touches*: the exact discrete sweep
-/// costs its total location count `N`, numeric integration costs
-/// `numeric_steps · n`, and one Monte-Carlo round costs `1` (its per-round
-/// search is logarithmic, amortized below one location touch per round on
-/// the instances the cap matters for). The two fields are capped jointly:
-/// the effective budget is their minimum. `deadline_proxy` exists so
-/// callers with a latency target can derive a second, tighter cap from a
-/// calibrated work-per-second rate without giving up determinism — wall
-/// clock never enters the query path.
+/// Work units are counted in *location touches*: the exact tier costs what
+/// [`ExactTier::work`] prices it at, and one Monte-Carlo round costs `1`
+/// (its per-round search is logarithmic, amortized below one location
+/// touch per round on the instances the cap matters for). The two fields
+/// are capped jointly: the effective budget is their minimum.
+/// `deadline_proxy` exists so callers with a latency target can derive a
+/// second, tighter cap from a calibrated work-per-second rate without
+/// giving up determinism — wall clock never enters the query path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct QueryBudget {
     /// Hard cap on work units.
@@ -211,6 +211,38 @@ impl QueryBudget {
     /// The binding constraint: `min(max_work, deadline_proxy)`.
     pub fn effective(&self) -> u64 {
         self.max_work.min(self.deadline_proxy)
+    }
+
+    /// The degradation ladder behind every `quantify_within`: `tier`'s
+    /// exact answer if its [`ExactTier::work`] fits, else
+    /// [`UnnError::BudgetExhausted`] under a zero budget, else the caller's
+    /// capped adaptive Monte-Carlo fold, given at most one round per work
+    /// unit.
+    pub(crate) fn ladder(
+        self,
+        tier: &ExactTier,
+        q: Point,
+        capped_fold: impl FnOnce(usize) -> AdaptiveQuantify,
+    ) -> Result<QuantifyOutcome, UnnError> {
+        let cap = self.effective();
+        let work = tier.work();
+        if work <= cap {
+            let (pi, method) = exact_answer(tier, q);
+            return Ok(QuantifyOutcome::Exact { pi, method, work });
+        }
+        if cap == 0 {
+            return Err(UnnError::BudgetExhausted {
+                budget: cap,
+                required: 1,
+            });
+        }
+        let a = capped_fold(usize::try_from(cap).unwrap_or(usize::MAX));
+        Ok(QuantifyOutcome::Degraded {
+            work: a.rounds_used as u64,
+            achieved_epsilon: a.half_width,
+            rounds_used: a.rounds_used,
+            pi: a.pi,
+        })
     }
 }
 

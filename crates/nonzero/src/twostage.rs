@@ -106,16 +106,8 @@ impl DiskNonzeroIndex {
     /// of being the nearest neighbor of `q` (Lemma 2.1), in index order.
     pub fn query(&self, q: Point) -> Vec<usize> {
         let mut out = Vec::new();
-        self.query_into(q, &mut out);
-        out
-    }
-
-    /// [`DiskNonzeroIndex::query`] into a caller-provided buffer (cleared
-    /// first), for a loop that reuses one buffer across queries.
-    pub fn query_into(&self, q: Point, out: &mut Vec<usize>) {
-        out.clear();
         let Some((best, d1, d2)) = self.min_two_max_dist(q) else {
-            return;
+            return out;
         };
         // Everyone except `best` is tested against d1; `best` against d2.
         // `report_ball_below` evaluates `(d(q, c_i) - r_i).max(0.0)` on the
@@ -128,6 +120,7 @@ impl DiskNonzeroIndex {
             }
         });
         out.sort_unstable();
+        out
     }
 
     /// Reference implementation: linear scan (the baseline of experiment E7).
@@ -239,16 +232,8 @@ impl DiscreteNonzeroIndex {
     /// `NN≠0(q)` for discrete supports, in index order.
     pub fn query(&self, q: Point) -> Vec<usize> {
         let mut out = Vec::new();
-        self.query_into(q, &mut out);
-        out
-    }
-
-    /// [`DiscreteNonzeroIndex::query`] into a caller-provided buffer
-    /// (cleared first); see [`DiskNonzeroIndex::query_into`].
-    pub fn query_into(&self, q: Point, out: &mut Vec<usize>) {
-        out.clear();
         let Some((best, d1, d2)) = self.min_two_max_dist(q) else {
-            return;
+            return out;
         };
         let objects = &self.objects;
         self.tree_report.report_adjusted_below(
@@ -264,6 +249,7 @@ impl DiscreteNonzeroIndex {
             },
         );
         out.sort_unstable();
+        out
     }
 
     /// Reference implementation: linear scan.

@@ -17,9 +17,71 @@
 //! [`quantification_exact_recompute`] is the `O(N·n)` reference that
 //! recomputes each product from scratch — the numeric oracle for tests and
 //! the E14 ablation.
+//!
+//! [`ExactTier`] is the one place that chooses between this sweep and
+//! Eq. 1's [`quantification_numeric`] for a point set, and prices the
+//! choice in budget work units.
 
-use unn_distr::{DiscreteDistribution, UncertainPoint};
+use unn_distr::{DiscreteDistribution, Uncertain, UncertainPoint};
 use unn_geom::Point;
+
+use crate::numeric::quantification_numeric;
+
+/// The exact quantification tier over one point set: Eq. 2's sweep
+/// ([`quantification_exact`]) when every point is discrete, Eq. 1's
+/// numeric integration ([`quantification_numeric`]) otherwise.
+///
+/// Every holder of an exact answer (the static index, the dynamic snapshot
+/// and the served exact view) builds one of these, so the choice of sweep
+/// and its price live here alone.
+pub struct ExactTier {
+    points: Vec<Uncertain>,
+    discrete: Option<Vec<DiscreteDistribution>>,
+    numeric_steps: usize,
+}
+
+impl ExactTier {
+    /// The tier over `points`, integrating continuous sets on a grid of
+    /// `numeric_steps` cells per object (at least 2 when it integrates).
+    pub fn new(points: Vec<Uncertain>, numeric_steps: usize) -> Self {
+        let discrete = points.iter().map(|p| p.as_discrete().cloned()).collect();
+        ExactTier {
+            points,
+            discrete,
+            numeric_steps,
+        }
+    }
+
+    /// The point set, in the order of every answer.
+    pub fn points(&self) -> &[Uncertain] {
+        &self.points
+    }
+
+    /// The all-discrete view of the set, when every point is discrete
+    /// (an empty set is all-discrete).
+    pub fn discrete(&self) -> Option<&[DiscreteDistribution]> {
+        self.discrete.as_deref()
+    }
+
+    /// What [`ExactTier::quantify`] costs, in budget work units (location
+    /// touches): the sweep's total location count, or `numeric_steps · n`
+    /// for numeric integration. An empty set costs 0.
+    pub fn work(&self) -> u64 {
+        match &self.discrete {
+            Some(objs) => objs.iter().map(|o| o.len() as u64).sum(),
+            None => self.numeric_steps as u64 * self.points.len() as u64,
+        }
+    }
+
+    /// All `π_i(q)`, in point order: the Eq. 2 sweep when the set is
+    /// all-discrete, numeric integration of Eq. 1 otherwise.
+    pub fn quantify(&self, q: Point) -> Vec<f64> {
+        match &self.discrete {
+            Some(objs) => quantification_exact(objs, q),
+            None => quantification_numeric(&self.points, q, self.numeric_steps),
+        }
+    }
+}
 
 /// All quantification probabilities `π_i(q)`, exactly (up to f64 rounding).
 ///
@@ -300,6 +362,35 @@ mod tests {
         }
         let sum: f64 = pi.iter().sum();
         assert!((sum - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn exact_tier_prices_and_answers_like_its_sweep() {
+        let bits = |pi: &[f64]| pi.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        let q = Point::new(1.5, -2.0);
+        let objs = random_objects(6, 3, 140);
+        let tier = ExactTier::new(objs.iter().cloned().map(Uncertain::Discrete).collect(), 50);
+        assert_eq!(tier.discrete().map(<[_]>::len), Some(6));
+        assert_eq!(tier.work(), 18, "a discrete tier prices its location count");
+        assert_eq!(
+            bits(&tier.quantify(q)),
+            bits(&quantification_exact(&objs, q))
+        );
+
+        let disks: Vec<Uncertain> = (0..5)
+            .map(|i| Uncertain::uniform_disk(Point::new(2.0 * i as f64, 0.5), 1.0))
+            .collect();
+        let tier = ExactTier::new(disks.clone(), 50);
+        assert!(tier.discrete().is_none());
+        assert_eq!(tier.work(), 50 * 5, "numeric integration prices steps · n");
+        assert_eq!(
+            bits(&tier.quantify(q)),
+            bits(&quantification_numeric(&disks, q, 50))
+        );
+
+        let empty = ExactTier::new(Vec::new(), 50);
+        assert_eq!(empty.work(), 0);
+        assert!(empty.quantify(q).is_empty());
     }
 
     proptest! {

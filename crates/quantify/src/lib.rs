@@ -3,7 +3,9 @@
 //! Everything needed to return the probabilities `π_i(q)` of each uncertain
 //! point being the nearest neighbor of a query:
 //!
-//! * [`exact`] — exact sweep evaluation of Eq. 2 (discrete case);
+//! * [`exact`] — exact sweep evaluation of Eq. 2 (discrete case), and
+//!   [`ExactTier`], which picks that sweep or [`numeric`] for a point set
+//!   and prices it;
 //! * [`montecarlo`] — the `s`-round instantiation structure (Thm 4.3/4.5);
 //! * [`spiral`] — deterministic spiral-search truncation (Thm 4.7);
 //! * [`vpr`] — the probabilistic Voronoi diagram `𝒱_Pr` (Thm 4.2);
@@ -25,7 +27,7 @@ pub mod threshold;
 pub mod vpr;
 
 pub use error::{panic_message, QuantifyError};
-pub use exact::{quantification_exact, quantification_exact_recompute};
+pub use exact::{quantification_exact, quantification_exact_recompute, ExactTier};
 pub use knn::knn_membership_exact;
 pub use montecarlo::{
     adaptive_half_width_bound, adaptive_over_winners, point_stream_seed,

@@ -14,21 +14,22 @@
 //!   per-shard minima over id-keyed sample streams, so the elementwise
 //!   lexicographic minimum across shards is the global round winner.
 //! * **Exact sweep** — shards materialize into one id-sorted merged view,
-//!   identical to the unsharded materialization.
+//!   identical to the unsharded materialization, whose [`ExactTier`]
+//!   chooses and prices the sweep.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 
-use unn_distr::{DiscreteDistribution, Uncertain, UncertainPoint};
+use unn_distr::{Uncertain, UncertainPoint};
 use unn_dynamic::{
     CompactionPolicy, DynamicEngine, DynamicStats, EngineConfig, EngineSnapshot, PointId,
 };
 use unn_geom::Point;
 use unn_nonzero::DeltaCompose;
 use unn_quantify::{
-    adaptive_over_winners, panic_message, quantification_exact, quantification_numeric,
-    AdaptiveQuantify, MonteCarloIndex, ADAPTIVE_MIN_ROUNDS,
+    adaptive_over_winners, panic_message, AdaptiveQuantify, ExactTier, MonteCarloIndex,
+    ADAPTIVE_MIN_ROUNDS,
 };
 
 use crate::ServeError;
@@ -461,38 +462,18 @@ impl ShardSetSnapshot {
             entries.sort_unstable_by_key(|(id, _)| *id);
             let ids: Vec<PointId> = entries.iter().map(|(id, _)| *id).collect();
             let points: Vec<Uncertain> = entries.into_iter().map(|(_, p)| p).collect();
-            let discrete = points.iter().map(|p| p.as_discrete().cloned()).collect();
-            Arc::new(ExactView {
-                ids,
-                points,
-                discrete,
-                numeric_steps: self.inner.config.numeric_steps,
-            })
+            let tier = ExactTier::new(points, self.inner.config.numeric_steps);
+            Arc::new(ExactView { ids, tier })
         }))
-    }
-
-    /// Exact (all-discrete) or high-resolution numeric quantification over
-    /// the merged live set.
-    pub fn quantify_exact(&self, q: Point) -> Vec<f64> {
-        if self.is_empty() {
-            return Vec::new();
-        }
-        self.exact_view().quantify(q)
-    }
-
-    /// The work an exact answer costs, in location touches.
-    pub fn exact_work(&self) -> u64 {
-        self.exact_view().work()
     }
 }
 
 /// The merged, id-sorted live set materialized for exact quantification —
-/// what the [`Dispatcher`](crate::Dispatcher)'s exact tier sweeps.
+/// what the [`Dispatcher`](crate::Dispatcher)'s exact tier sweeps. Its
+/// [`ExactTier`] chooses and prices the sweep; the view adds the ids.
 pub struct ExactView {
     ids: Vec<PointId>,
-    points: Vec<Uncertain>,
-    discrete: Option<Vec<DiscreteDistribution>>,
-    numeric_steps: usize,
+    tier: ExactTier,
 }
 
 impl ExactView {
@@ -502,26 +483,15 @@ impl ExactView {
         &self.ids
     }
 
-    /// Exact-sweep work in location touches (same accounting as the core
-    /// crate's `exact_work`).
+    /// Exact-sweep work in location touches: [`ExactTier::work`].
     pub fn work(&self) -> u64 {
-        if let Some(objs) = &self.discrete {
-            objs.iter().map(|o| o.len() as u64).sum()
-        } else {
-            self.numeric_steps as u64 * self.points.len() as u64
-        }
+        self.tier.work()
     }
 
-    /// The exact (Eq. 2 sweep) or numeric-integration probability vector.
+    /// The exact (Eq. 2 sweep) or numeric-integration probability vector:
+    /// [`ExactTier::quantify`].
     pub fn quantify(&self, q: Point) -> Vec<f64> {
-        if self.points.is_empty() {
-            return Vec::new();
-        }
-        if let Some(objs) = &self.discrete {
-            quantification_exact(objs, q)
-        } else {
-            quantification_numeric(&self.points, q, self.numeric_steps)
-        }
+        self.tier.quantify(q)
     }
 }
 
@@ -670,7 +640,7 @@ mod tests {
         assert_eq!(view.ids(), snap.live_ids());
         // All-discrete corpus: exact work is the summed support size.
         assert_eq!(view.work(), 12);
-        let pi = snap.quantify_exact(Point::new(0.1, 0.0));
+        let pi = view.quantify(Point::new(0.1, 0.0));
         assert_eq!(pi.len(), 12);
         let total: f64 = pi.iter().sum();
         assert!(

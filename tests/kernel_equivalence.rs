@@ -429,10 +429,9 @@ proptest! {
             })
             .collect();
         let index = DiskNonzeroIndex::new(&disks);
-        let mut out = Vec::new();
         for _ in 0..8 {
             let q = Point::new(rng.random_range(-18.0..18.0), rng.random_range(-18.0..18.0));
-            index.query_into(q, &mut out);
+            let out = index.query(q);
             prop_assert_eq!(&out, &index.query_naive(q), "NN≠0 set diverged at {:?}", q);
         }
     }
